@@ -27,9 +27,11 @@ use fmt_core::logic::{parser as fo_parser, Query, QueryError};
 use fmt_core::queries::datalog::{EvalError, ParsedProgram, Program};
 use fmt_core::queries::magic::{self, Goal, MagicError};
 use fmt_core::structures::budget::{Budget, Exhausted};
-use fmt_core::structures::{parse as sparse, Diagnostic, Severity, Signature, Structure};
+use fmt_core::structures::{
+    parse as sparse, Diagnostic, Severity, Signature, Structure, TupleStore,
+};
 use fmt_core::zeroone;
-use std::io::Read;
+use std::io::{Read, Write};
 use std::process::ExitCode;
 use std::sync::Arc;
 
@@ -38,7 +40,8 @@ use std::sync::Arc;
 /// | code | meaning                                            |
 /// |------|----------------------------------------------------|
 /// | 0    | success                                            |
-/// | 1    | usage, parse, I/O, or lint failure                 |
+/// | 1    | usage, parse, I/O, or lint failure (including     |
+/// |      | output that could not be written)                  |
 /// | 2    | conformance failure (hunt disagreement or a replay |
 /// |      | that still reproduces)                             |
 /// | 3    | budget exhausted (`--fuel` / `--timeout-ms`)       |
@@ -447,13 +450,7 @@ fn cmd_datalog(args: &[String], budget: &Budget) -> CliResult {
     let mut text = String::new();
     for i in 0..prog.num_idbs() {
         let (name, arity) = prog.idb_info(i);
-        let mut tuples: Vec<Vec<u32>> = out.relation(i).iter().collect();
-        tuples.sort();
-        text.push_str(&format!("{name}/{arity}: {} tuples\n", tuples.len()));
-        for t in tuples {
-            let cells: Vec<String> = t.iter().map(u32::to_string).collect();
-            text.push_str(&format!("  {name}({})\n", cells.join(", ")));
-        }
+        render_extent(&mut text, name, arity, out.relation(i));
     }
     text.push_str(&format!(
         "({} iterations, {} derivations)",
@@ -464,6 +461,44 @@ fn cmd_datalog(args: &[String], budget: &Budget) -> CliResult {
         text.push_str(&explain_table(&trace, &parsed, &src));
     }
     Ok(text)
+}
+
+/// Appends one IDB block to `text`: a `name/arity: N tuples` header and
+/// a `  name(a, b)` line per tuple, in lexicographic order of element
+/// ids. Capacity is reserved once, from the widest value per column;
+/// nothing is allocated per tuple.
+fn render_extent(text: &mut String, name: &str, arity: usize, store: &TupleStore) {
+    let rows = store.sorted_rows();
+    text.push_str(&format!("{name}/{arity}: {} tuples\n", rows.len()));
+    let widest: usize = (0..arity)
+        .map(|c| store.col(c).iter().max().map_or(1, |m| m.to_string().len()))
+        .sum();
+    text.reserve(rows.len() * (name.len() + 5 + widest + 2 * arity));
+    for r in rows {
+        push_tuple_line(text, name, (0..arity).map(|c| store.value(r, c)));
+    }
+}
+
+/// Appends `  name(a, b, ...)\n` to `text`.
+fn push_tuple_line(text: &mut String, name: &str, tuple: impl IntoIterator<Item = u32>) {
+    text.push_str("  ");
+    text.push_str(name);
+    text.push('(');
+    for (i, v) in tuple.into_iter().enumerate() {
+        if i > 0 {
+            text.push_str(", ");
+        }
+        push_u32(text, v);
+    }
+    text.push_str(")\n");
+}
+
+/// Appends the decimal digits of `v` to `text` without allocating.
+fn push_u32(text: &mut String, v: u32) {
+    if v >= 10 {
+        push_u32(text, v / 10);
+    }
+    text.push(char::from(b'0' + (v % 10) as u8));
 }
 
 /// Goal-directed (magic-sets) evaluation: rewrites the program for the
@@ -529,13 +564,7 @@ fn run_query(
     let mut text = String::new();
     for i in 0..rprog.num_idbs() {
         let (name, arity) = rprog.idb_info(i);
-        let mut tuples: Vec<Vec<u32>> = out.relation(i).iter().collect();
-        tuples.sort();
-        text.push_str(&format!("{name}/{arity}: {} tuples\n", tuples.len()));
-        for t in tuples {
-            let cells: Vec<String> = t.iter().map(u32::to_string).collect();
-            text.push_str(&format!("  {name}({})\n", cells.join(", ")));
-        }
+        render_extent(&mut text, name, arity, out.relation(i));
     }
     text.push_str(&format!(
         "({} iterations, {} derivations)\n",
@@ -544,10 +573,10 @@ fn run_query(
     let answers = mq.answers(s, &out);
     text.push_str(&format!("query {goal}: {} answers\n", answers.len()));
     for row in answers {
-        let cells: Vec<String> = row.iter().map(u32::to_string).collect();
-        text.push_str(&format!("  {}({})\n", goal.pred, cells.join(", ")));
+        push_tuple_line(&mut text, &goal.pred, row);
     }
-    Ok(text.trim_end().to_owned())
+    text.truncate(text.trim_end().len());
+    Ok(text)
 }
 
 /// Drives a [`fmt_core::queries::incremental::DatalogRuntime`] from an
@@ -625,13 +654,7 @@ fn run_incremental(
     }
     for i in 0..prog.num_idbs() {
         let (name, arity) = prog.idb_info(i);
-        let mut tuples: Vec<Vec<u32>> = rt.query(i).iter().collect();
-        tuples.sort();
-        text.push_str(&format!("{name}/{arity}: {} tuples\n", tuples.len()));
-        for t in tuples {
-            let cells: Vec<String> = t.iter().map(u32::to_string).collect();
-            text.push_str(&format!("  {name}({})\n", cells.join(", ")));
-        }
+        render_extent(&mut text, name, arity, rt.query(i));
     }
     text.push_str(&format!("({polls} polls)"));
     Ok(text)
@@ -928,7 +951,7 @@ fn cmd_lint(mut args: Vec<String>) -> CliResult {
     if n_err > 0 {
         // Keep the report (including JSON) on stdout; only the verdict
         // goes to stderr with the failing exit code.
-        println!("{out}");
+        write_stdout(out + "\n")?;
         return Err(CliFailure::Error(format!(
             "lint failed with {n_err} error(s)"
         )));
@@ -1152,33 +1175,38 @@ fn run() -> CliResult {
     }
     let mut out = out?;
     if let Some(stats_out) = render_stats(stats, &cmd) {
-        out = format!("{out}\n{stats_out}");
+        out.push('\n');
+        out.push_str(&stats_out);
     }
     if metrics_text {
-        out = format!("{out}\n{}", fmt_core::obs::snapshot().to_prometheus());
+        out.push('\n');
+        out.push_str(&fmt_core::obs::snapshot().to_prometheus());
     }
-    Ok(out.trim_end().to_owned())
+    out.truncate(out.trim_end().len());
+    out.push('\n');
+    Ok(out)
+}
+
+/// Writes `out` to stdout in one call. A closed pipe or a full device
+/// is an ordinary I/O failure (exit 1), not a panic.
+fn write_stdout(out: String) -> Result<(), CliFailure> {
+    let mut stdout = std::io::stdout().lock();
+    stdout
+        .write_all(out.as_bytes())
+        .and_then(|()| stdout.flush())
+        .map_err(|e| CliFailure::Error(format!("writing output: {e}")))
 }
 
 fn main() -> ExitCode {
-    match run() {
-        Ok(out) => {
-            println!("{out}");
-            ExitCode::SUCCESS
-        }
-        Err(CliFailure::Error(e)) => {
-            eprintln!("fmtk: {e}");
-            ExitCode::from(1)
-        }
-        Err(CliFailure::Conform(e)) => {
-            eprintln!("fmtk: {e}");
-            ExitCode::from(2)
-        }
-        Err(CliFailure::Exhausted(e)) => {
-            eprintln!("fmtk: {e}");
-            ExitCode::from(3)
-        }
-    }
+    let (code, msg) = match run().and_then(write_stdout) {
+        Ok(()) => return ExitCode::SUCCESS,
+        Err(CliFailure::Error(e)) => (1, e),
+        Err(CliFailure::Conform(e)) => (2, e),
+        Err(CliFailure::Exhausted(e)) => (3, e),
+    };
+    // Best effort: there is nowhere left to report a failing stderr.
+    let _ = writeln!(std::io::stderr(), "fmtk: {msg}");
+    ExitCode::from(code)
 }
 
 #[cfg(test)]
@@ -1355,6 +1383,94 @@ mod tests {
             "{err}"
         );
         for f in [&s, &p, &u, &p2] {
+            std::fs::remove_file(f).ok();
+        }
+    }
+
+    /// The extent renderer `render_extent` replaced, kept as the
+    /// reference: materialize every tuple, comparison-sort, then
+    /// `format!` and `join` each line.
+    fn reference_extents<'a>(prog: &Program, store: impl Fn(usize) -> &'a TupleStore) -> String {
+        let mut text = String::new();
+        for i in 0..prog.num_idbs() {
+            let (name, arity) = prog.idb_info(i);
+            let mut tuples: Vec<Vec<u32>> = store(i).iter().collect();
+            tuples.sort();
+            text.push_str(&format!("{name}/{arity}: {} tuples\n", tuples.len()));
+            for t in tuples {
+                let cells: Vec<String> = t.iter().map(u32::to_string).collect();
+                text.push_str(&format!("  {name}({})\n", cells.join(", ")));
+            }
+        }
+        text
+    }
+
+    /// Element ids on both sides of the 255/256 byte boundary; `loop`
+    /// stays empty (no self-loops), `src` has arity 1 and `tri` arity 3.
+    const WIDE: &str = "size: 300\nE(0,1)\nE(1,2)\nE(2,0)\nE(255,256)\nE(256,10)\n\
+                        E(10,255)\nE(299,5)\nE(5,100)\nE(100,299)\nE(3,257)\n";
+    const SHAPES: &str = "tc(x, y) :- e(x, y). tc(x, z) :- e(x, y), tc(y, z). \
+                          src(x) :- e(x, y). tri(x, y, z) :- e(x, y), e(y, z), tc(z, x). \
+                          loop(x) :- e(x, x).";
+
+    #[test]
+    fn rendering_is_byte_identical_to_the_reference_in_every_mode() {
+        let sp = temp_file("r.structure", WIDE);
+        let pp = temp_file("r.dl", SHAPES);
+        let up = temp_file("r.updates", "+E(257,3) -E(2,0) +E(3,4)\n");
+        let s = sparse::parse(WIDE).unwrap();
+        let prog = Program::parse(s.signature(), SHAPES).unwrap();
+        let out = prog
+            .try_eval_seminaive_with(&s, 0, &Budget::unlimited())
+            .unwrap();
+        let want = reference_extents(&prog, |i| out.relation(i));
+        assert!(want.contains("loop/1: 0 tuples\n") && want.contains("  tri(255, 256, 10)\n"));
+        assert_eq!(
+            datalog(&[&sp, &pp]).unwrap(),
+            format!(
+                "{want}({} iterations, {} derivations)",
+                out.iterations, out.derivations
+            )
+        );
+
+        let goal = magic::parse_goal("tc(255, y)?").unwrap();
+        let mq = magic::rewrite(&prog, &goal).unwrap();
+        let out = mq
+            .program
+            .try_eval_seminaive_with(&mq.prepare(&s), 0, &Budget::unlimited())
+            .unwrap();
+        let mut want = reference_extents(&mq.program, |i| out.relation(i));
+        let answers = mq.answers(&s, &out);
+        want.push_str(&format!(
+            "({} iterations, {} derivations)\nquery {goal}: {} answers\n",
+            out.iterations,
+            out.derivations,
+            answers.len()
+        ));
+        for row in answers {
+            let cells: Vec<String> = row.iter().map(u32::to_string).collect();
+            want.push_str(&format!("  tc({})\n", cells.join(", ")));
+        }
+        assert_eq!(
+            datalog(&[&sp, &pp, "--query", "tc(255, y)?"]).unwrap(),
+            want.trim_end()
+        );
+
+        let e = s.signature().relation("E").unwrap();
+        let mut rt =
+            fmt_core::queries::incremental::DatalogRuntime::from_structure(prog.clone(), &s)
+                .unwrap();
+        rt.insert(e, &[257, 3]);
+        rt.retract(e, &[2, 0]);
+        rt.insert(e, &[3, 4]);
+        rt.poll();
+        let want = reference_extents(&prog, |i| rt.query(i));
+        let got = datalog(&[&sp, &pp, "--incremental", "--updates", &up]).unwrap();
+        let (polls, extents) = got.split_at(got.find("tc/2:").unwrap());
+        assert_eq!(polls.lines().count(), 2, "{polls}");
+        assert!(polls.lines().all(|l| l.starts_with("poll ")), "{polls}");
+        assert_eq!(extents, format!("{want}(2 polls)"));
+        for f in [&sp, &pp, &up] {
             std::fs::remove_file(f).ok();
         }
     }

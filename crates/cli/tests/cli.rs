@@ -573,6 +573,30 @@ fn exit_code_0_on_success_and_1_on_errors() {
     assert_eq!(out.status.code(), Some(1));
 }
 
+/// Output that cannot be written — here stdout is a full device — is an
+/// ordinary I/O failure: exit code 1 with a message, never a panic.
+#[test]
+#[cfg(target_os = "linux")]
+fn exit_code_1_when_output_cannot_be_written() {
+    let p = write_temp("exit-full.st", CYCLE4);
+    let dl = write_temp(
+        "exit-full.dl",
+        "t(x, y) :- e(x, y). t(x, z) :- e(x, y), t(y, z).",
+    );
+    let full = std::fs::OpenOptions::new()
+        .write(true)
+        .open("/dev/full")
+        .unwrap();
+    let out = fmtk()
+        .args(["datalog", p.to_str().unwrap(), dl.to_str().unwrap()])
+        .stdout(full)
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.starts_with("fmtk: writing output: "), "{stderr}");
+}
+
 #[test]
 fn exit_code_2_when_replay_reproduces() {
     let case = write_temp("exit-bf.case", BUDGET_FAULT_CASE);

@@ -79,6 +79,10 @@ enum Access {
 struct Step {
     atom: usize,
     access: Access,
+    /// The variables this step binds: those of its atom that neither
+    /// the plan's pre-binding nor an earlier step binds. Backtracking
+    /// unbinds exactly these, whatever the rule's variable count.
+    fresh: Vec<u32>,
 }
 
 /// Key of the per-rule plan cache. Mirrors the batch engine's
@@ -113,10 +117,18 @@ fn plan_incr(
     let mut remaining: Vec<usize> = (0..rule.body.len()).collect();
 
     let take = |i: usize, steps: &mut Vec<Step>, bound: &mut Vec<bool>, access: Access| {
-        steps.push(Step { atom: i, access });
+        let mut fresh = Vec::new();
         for &v in &rule.body[i].args {
-            bound[v as usize] = true;
+            if !bound[v as usize] {
+                bound[v as usize] = true;
+                fresh.push(v);
+            }
         }
+        steps.push(Step {
+            atom: i,
+            access,
+            fresh,
+        });
     };
 
     if let Some(d) = driver {
@@ -241,7 +253,8 @@ impl<'a> Kernel<'a> {
 
     /// Binds a candidate row against the atom at plan step `step_i`,
     /// recursing into the next step on success; the binding is fully
-    /// restored before returning.
+    /// restored before returning by unbinding the step's
+    /// [`Step::fresh`] variables.
     fn try_candidate(
         &self,
         step_i: usize,
@@ -251,8 +264,8 @@ impl<'a> Kernel<'a> {
         budget: &Budget,
         emit: &mut dyn FnMut(&[Elem]) -> bool,
     ) -> BudgetResult<bool> {
-        let atom = &self.rule.body[self.plan[step_i].atom];
-        let mut touched: u128 = 0;
+        let step = &self.plan[step_i];
+        let atom = &self.rule.body[step.atom];
         let mut ok = true;
         for (i, &v) in atom.args.iter().enumerate() {
             let e = st.value(row, i);
@@ -262,14 +275,7 @@ impl<'a> Kernel<'a> {
                     break;
                 }
                 Some(_) => {}
-                None => {
-                    binding[v as usize] = Some(e);
-                    debug_assert!(
-                        (v as usize) < 128,
-                        "parser caps rule variables well below 128"
-                    );
-                    touched |= 1u128 << v;
-                }
+                None => binding[v as usize] = Some(e),
             }
         }
         let result = if ok {
@@ -277,9 +283,8 @@ impl<'a> Kernel<'a> {
         } else {
             Ok(true)
         };
-        while touched != 0 {
-            binding[touched.trailing_zeros() as usize] = None;
-            touched &= touched - 1;
+        for &v in &step.fresh {
+            binding[v as usize] = None;
         }
         result
     }

@@ -407,6 +407,42 @@ impl TupleStore {
         buf.extend(self.cols.iter().map(|c| c[row as usize]));
     }
 
+    /// The live row ids in lexicographic order of their tuples.
+    ///
+    /// An LSD byte-radix sort over the columns: last column first, one
+    /// stable 256-bucket counting pass per byte, skipping the bytes
+    /// above the column's largest live value. O(arity · bytes · n) time
+    /// and two `u32` buffers of length n — no per-row allocation, and no
+    /// count array sized by the domain (element ids may approach
+    /// `u32::MAX`).
+    pub fn sorted_rows(&self) -> Vec<u32> {
+        let mut rows: Vec<u32> = (0..self.len).filter(|&r| self.is_live(r)).collect();
+        let mut next = vec![0u32; rows.len()];
+        for col in self.cols.iter().rev() {
+            let max = rows.iter().map(|&r| col[r as usize]).max().unwrap_or(0);
+            let bytes = (Elem::BITS - max.leading_zeros()).div_ceil(8);
+            for shift in (0..bytes).map(|b| b * 8) {
+                let byte = |r: u32| ((col[r as usize] >> shift) & 0xFF) as usize;
+                // starts[b + 1] counts byte b; the prefix sum turns it
+                // into the first output slot of bucket b + 1.
+                let mut starts = [0usize; 257];
+                for &r in &rows {
+                    starts[byte(r) + 1] += 1;
+                }
+                for b in 1..starts.len() {
+                    starts[b] += starts[b - 1];
+                }
+                for &r in &rows {
+                    let slot = &mut starts[byte(r)];
+                    next[*slot] = r;
+                    *slot += 1;
+                }
+                std::mem::swap(&mut rows, &mut next);
+            }
+        }
+        rows
+    }
+
     /// Iterates the *live* rows as materialized tuples, in row-id
     /// order (tombstoned rows are skipped). Meant for output
     /// consumers; the join kernel reads columns directly.

@@ -44,6 +44,32 @@ for fixture in tests/lint/[FD][0-9][0-9][0-9].*; do
     fi
 done
 
+echo "==> output-failure exit codes (full device and closed pipe exit 0 or 1, never panic)"
+OUT_DIR=target/output-failure
+mkdir -p "$OUT_DIR"
+# sg on a depth-7 tree prints ~330 KB, well past a pipe buffer, so
+# `head -1` closes the pipe while fmtk is still writing.
+{
+    echo "size: 255"
+    for ((i = 0; i < 127; i++)); do
+        echo "E($i,$((2 * i + 1)))"
+        echo "E($i,$((2 * i + 2)))"
+    done
+} > "$OUT_DIR/tree.st"
+printf 'sg(x, x).\nsg(x, y) :- e(xp, x), e(yp, y), sg(xp, yp).\n' > "$OUT_DIR/sg.dl"
+set +e
+"$FMTK" datalog "$OUT_DIR/tree.st" "$OUT_DIR/sg.dl" > /dev/full 2> /dev/null
+full_rc=$?
+"$FMTK" datalog "$OUT_DIR/tree.st" "$OUT_DIR/sg.dl" 2> /dev/null | head -1 > /dev/null
+pipe_rc=${PIPESTATUS[0]}
+set -e
+for rc in "$full_rc" "$pipe_rc"; do
+    if [[ "$rc" != 0 && "$rc" != 1 ]]; then
+        echo "output failure exit codes: /dev/full -> $full_rc, head -1 -> $pipe_rc (want 0 or 1)" >&2
+        exit 1
+    fi
+done
+
 echo "==> conformance smoke hunt (fixed seed, fails on any oracle disagreement)"
 mkdir -p target/conform-corpus
 cargo run --release -q -p fmt-cli --bin fmtk -- \

@@ -192,3 +192,50 @@ fn negated_programs_are_rejected_with_a_typed_error() {
     let err2 = DatalogRuntime::from_structure(prog, &s).expect_err("from_structure too");
     assert_eq!((err2.rule, err2.atom), (1, 1));
 }
+
+/// A rule binding more than 128 distinct variables: backtracking must
+/// unbind the variables past the 128th too (a `u128` rollback mask
+/// once wrapped there), or stale bindings silently drop derivations.
+/// The 130-edge chain rule runs over a 134-node path whose nodes all
+/// also have a dead-end in-edge (from 0) and out-edge (to 1), so every
+/// join step backtracks over a failed candidate.
+#[test]
+fn rules_with_more_than_128_variables_roll_back_exactly() {
+    const LEN: u32 = 130;
+    const DOMAIN: u32 = LEN + 6;
+    let body: Vec<String> = (0..LEN).map(|i| format!("e(x{i}, x{})", i + 1)).collect();
+    let src = format!("p(x0, x{LEN}) :- {}.", body.join(", "));
+    let sig = Signature::graph();
+    let prog = Program::parse(&sig, &src).unwrap();
+    let e = sig.relation("E").unwrap();
+    let mut facts: BTreeSet<(u32, u32)> = BTreeSet::new();
+    for u in 2..DOMAIN {
+        facts.insert((0, u));
+        facts.insert((u, 1));
+        if u + 1 < DOMAIN && u != 62 {
+            facts.insert((u, u + 1));
+        }
+    }
+    let mut rt = DatalogRuntime::new(prog.clone(), DOMAIN).expect("negation-free");
+    for &(u, v) in &facts {
+        rt.insert(e, &[u, v]);
+    }
+    rt.poll();
+    let check = |rt: &DatalogRuntime, facts: &BTreeSet<(u32, u32)>, when: &str| {
+        let mut got: Vec<Vec<Elem>> = rt.query(0).iter().collect();
+        got.sort();
+        assert_eq!(got, scratch(&prog, DOMAIN, facts)[0], "after {when}");
+    };
+    check(&rt, &facts, "seeding");
+    for (insert, edge) in [(true, (62, 63)), (false, (2, 3))] {
+        if insert {
+            facts.insert(edge);
+            rt.insert(e, &[edge.0, edge.1]);
+        } else {
+            facts.remove(&edge);
+            rt.retract(e, &[edge.0, edge.1]);
+        }
+        rt.poll();
+        check(&rt, &facts, &format!("{edge:?}"));
+    }
+}

@@ -1,8 +1,9 @@
 //! Property-based tests of the columnar tuple-storage subsystem: the
 //! [`TupleStore`] dedup set against a `HashSet` model, row-id/arena
-//! consistency, and [`ColumnIndex`] probes against linear scans — each
+//! consistency, [`ColumnIndex`] probes against linear scans — each
 //! also under a degenerate all-colliding hash function, so the
-//! collision-verify paths carry the same properties as the fast paths.
+//! collision-verify paths carry the same properties as the fast paths —
+//! and the radix-sorted row order against a comparison sort.
 
 use fmt_core::structures::index::ColumnIndex;
 use fmt_core::structures::store::TupleStore;
@@ -148,8 +149,78 @@ fn arb_update_ops() -> impl Strategy<Value = (usize, Vec<(bool, Vec<Elem>)>)> {
     )
 }
 
+/// Element values on both sides of every byte boundary of a `u32`,
+/// so the radix sort's per-byte passes and skipped high bytes are all
+/// exercised.
+const BYTE_EDGES: [Elem; 12] = [
+    0,
+    1,
+    255,
+    256,
+    257,
+    65_535,
+    65_536,
+    (1 << 24) - 1,
+    1 << 24,
+    (1 << 24) + 1,
+    u32::MAX - 1,
+    u32::MAX,
+];
+
+/// An arity in `0..=4` and an insert/remove stream over 16 candidate
+/// tuples drawn from [`BYTE_EDGES`]: the small candidate set makes
+/// streams remove, double-remove and revive the same tuples.
+fn arb_wide_ops() -> impl Strategy<Value = (usize, Vec<(bool, Vec<Elem>)>)> {
+    (
+        0usize..=4,
+        proptest::collection::vec(0usize..BYTE_EDGES.len(), 64),
+        proptest::collection::vec((any::<bool>(), 0usize..16), 64),
+    )
+        .prop_map(|(arity, pool, picks)| {
+            let ops = picks
+                .into_iter()
+                .map(|(insert, k)| {
+                    let t = (0..arity).map(|c| BYTE_EDGES[pool[(k * 4 + c) % 64]]);
+                    (insert, t.collect())
+                })
+                .collect();
+            (arity, ops)
+        })
+}
+
+/// `sorted_rows` names exactly the live rows, in the order of a
+/// comparison sort of their tuples.
+fn assert_sorted_rows_sort_the_live_tuples(store: &TupleStore) {
+    let got: Vec<Vec<Elem>> = store
+        .sorted_rows()
+        .into_iter()
+        .map(|r| (0..store.arity()).map(|c| store.value(r, c)).collect())
+        .collect();
+    let mut want: Vec<Vec<Elem>> = store.iter().collect();
+    want.sort();
+    assert_eq!(got, want);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `sorted_rows` agrees with sorting the live tuples after every
+    /// insert, removal and revival, and again after compaction.
+    #[test]
+    fn sorted_rows_match_a_comparison_sort(input in arb_wide_ops()) {
+        let (arity, ops) = input;
+        let mut store = TupleStore::new(arity);
+        for (insert, t) in &ops {
+            if *insert {
+                store.push_if_new(t);
+            } else {
+                store.remove(t);
+            }
+            assert_sorted_rows_sort_the_live_tuples(&store);
+        }
+        store.compact();
+        assert_sorted_rows_sort_the_live_tuples(&store);
+    }
 
     /// `push_if_new`/`contains`/`iter` agree exactly with a `HashSet`
     /// model on random tuple streams.
