@@ -102,25 +102,19 @@ fn main() {
         overhead * 100.0
     );
 
-    // Replace any previous budget_overhead block, then append ours
-    // before the closing brace.
-    let body = match json.find(",\n  \"budget_overhead\"") {
-        Some(cut) => format!("{}\n}}\n", &json[..cut]),
-        None => json,
-    };
-    let trimmed = body
-        .trim_end()
-        .strip_suffix('}')
-        .expect("BENCH_datalog.json ends with a closing brace")
-        .trim_end()
-        .to_owned();
-    let appended = format!(
-        "{trimmed},\n  \"budget_overhead\":{{\"workload\":\"tc_path_512\",\
+    // Replace (or append) only our own "budget_overhead" block; every other
+    // block of the file survives.
+    let block = format!(
+        "{{\"workload\":\"tc_path_512\",\
          \"gate\":\"unlimited-budget indexed run within 5% of recorded baseline\",\
          \"baseline_secs\":{baseline:.6},\"unlimited_budget_secs\":{budgeted:.6},\
-         \"delegated_secs\":{delegated:.6},\"runs\":{runs},\"overhead\":{overhead:.4}}}\n}}\n"
+         \"delegated_secs\":{delegated:.6},\"runs\":{runs},\"overhead\":{overhead:.4}}}"
     );
-    std::fs::write("BENCH_datalog.json", appended).expect("write BENCH_datalog.json");
+    std::fs::write(
+        "BENCH_datalog.json",
+        fmt_bench::replace_block(&json, "budget_overhead", &block),
+    )
+    .expect("write BENCH_datalog.json");
 
     assert!(
         budgeted <= baseline * (1.0 + MAX_OVERHEAD),

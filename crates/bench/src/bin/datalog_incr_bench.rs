@@ -74,28 +74,22 @@ fn main() {
          speedup {speedup:.1}x"
     );
 
-    // Replace any previous incremental block, then append ours before
-    // the closing brace (same merge idiom as budget_overhead).
+    // Replace (or append) only our own "incremental" block; every other
+    // block of the file survives.
     let json = std::fs::read_to_string("BENCH_datalog.json")
         .unwrap_or_else(|_| "{\n  \"bench\":\"datalog\"\n}\n".to_owned());
-    let body = match json.find(",\n  \"incremental\"") {
-        Some(cut) => format!("{}\n}}\n", &json[..cut]),
-        None => json,
-    };
-    let trimmed = body
-        .trim_end()
-        .strip_suffix('}')
-        .expect("BENCH_datalog.json ends with a closing brace")
-        .trim_end()
-        .to_owned();
-    let appended = format!(
-        "{trimmed},\n  \"incremental\":{{\"workload\":\"tc_path_{NODES}\",\
+    let block = format!(
+        "{{\"workload\":\"tc_path_{NODES}\",\
          \"gate\":\"maintained single-edge update ≥5× faster than from-scratch recomputation\",\
          \"output_tuples\":{tuples},\"scratch_secs\":{scratch_secs:.6},\
          \"initial_poll_secs\":{initial_secs:.6},\"update_secs\":{update_secs:.6},\
-         \"speedup\":{speedup:.2}}}\n}}\n"
+         \"speedup\":{speedup:.2}}}"
     );
-    std::fs::write("BENCH_datalog.json", appended).expect("write BENCH_datalog.json");
+    std::fs::write(
+        "BENCH_datalog.json",
+        fmt_bench::replace_block(&json, "incremental", &block),
+    )
+    .expect("write BENCH_datalog.json");
 
     assert!(
         speedup >= MIN_SPEEDUP,

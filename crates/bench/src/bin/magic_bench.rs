@@ -76,29 +76,23 @@ fn main() {
          wall {full_secs:.6}s → {magic_secs:.6}s ({speedup:.1}x)"
     );
 
-    // Replace any previous magic block, then append ours before the
-    // closing brace (same merge idiom as datalog_incr_bench).
+    // Replace (or append) only our own "magic" block; every other
+    // block of the file survives.
     let json = std::fs::read_to_string("BENCH_datalog.json")
         .unwrap_or_else(|_| "{\n  \"bench\":\"datalog\"\n}\n".to_owned());
-    let body = match json.find(",\n  \"magic\"") {
-        Some(cut) => format!("{}\n}}\n", &json[..cut]),
-        None => json,
-    };
-    let trimmed = body
-        .trim_end()
-        .strip_suffix('}')
-        .expect("BENCH_datalog.json ends with a closing brace")
-        .trim_end()
-        .to_owned();
-    let appended = format!(
-        "{trimmed},\n  \"magic\":{{\"workload\":\"tc_path_{NODES}\",\"goal\":\"tc({SOURCE}, gy)?\",\
+    let block = format!(
+        "{{\"workload\":\"tc_path_{NODES}\",\"goal\":\"tc({SOURCE}, gy)?\",\
          \"gate\":\"point query derives ≥5× fewer tuples than full materialization\",\
          \"answers\":{answers},\"full_tuples\":{full_tuples},\
          \"full_derivations\":{full_derivations},\"magic_derivations\":{magic_derivations},\
          \"pruning\":{pruning:.2},\"full_secs\":{full_secs:.6},\"magic_secs\":{magic_secs:.6},\
-         \"speedup\":{speedup:.2}}}\n}}\n"
+         \"speedup\":{speedup:.2}}}"
     );
-    std::fs::write("BENCH_datalog.json", appended).expect("write BENCH_datalog.json");
+    std::fs::write(
+        "BENCH_datalog.json",
+        fmt_bench::replace_block(&json, "magic", &block),
+    )
+    .expect("write BENCH_datalog.json");
 
     assert!(
         pruning >= MIN_PRUNING,

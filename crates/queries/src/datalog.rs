@@ -28,9 +28,10 @@
 //!
 //! Evaluation engine (see `docs/join-engine.md` and `docs/storage.md`):
 //! rule bodies are joined in a greedy order (most-bound,
-//! smallest-extent atom first) and bound-position lookups probe hash or
-//! sorted-prefix indexes from [`fmt_structures::index`] instead of
-//! rescanning extents; semi-naive rounds fan the per-rule delta
+//! smallest-extent atom first) by the planner and kernel this engine
+//! shares with the incremental runtime, and bound-position lookups
+//! probe hash or sorted-prefix indexes from [`fmt_structures::index`]
+//! instead of rescanning extents; semi-naive rounds fan the per-rule delta
 //! applications out across scoped worker threads with hash-sharded
 //! deltas. IDB extents live in columnar [`TupleStore`] arenas: the
 //! kernel walks `u32` row ids and per-column slices, deltas are row-id
@@ -42,12 +43,12 @@
 //! the old `HashSet<Vec<Elem>>` representation as a differential
 //! oracle.
 
+use crate::join::{self, Access, Edb, ExecCtx, Step};
 use fmt_structures::budget::{Budget, BudgetResult, Exhausted};
-use fmt_structures::index::{self, ColumnIndex, TupleIndex};
+use fmt_structures::index::{ColumnIndex, TupleIndex};
 use fmt_structures::par::fan_out;
-use fmt_structures::store::{self, TupleStore};
+use fmt_structures::store::TupleStore;
 use fmt_structures::{Elem, Interner, RelId, Signature, Span, Structure};
-use std::cell::Cell;
 use std::collections::{HashMap, HashSet};
 
 /// Budget tick site label shared by all three Datalog engines.
@@ -756,28 +757,19 @@ impl Program {
                     let rule = &self.rules[ri];
                     let mut rule_span =
                         fmt_obs::trace_span!("datalog.rule", rule = ri, round = iterations);
-                    let plan = plan_rule(rule, None, s, &store);
-                    ensure_plan_indexes(&plan, rule, s, &mut edb, &mut store);
-                    let ctx = ExecCtx {
-                        s,
-                        rule,
-                        plan: &plan,
-                        edb: &edb,
-                        store: &store,
-                        driver: &[],
-                        head_idb: head_idb(rule),
-                        probes: Cell::new(0),
-                        probe_allocs: Cell::new(0),
-                    };
-                    let mut binding = vec![None; rule_num_vars(rule)];
+                    let mut plan = join::plan(rule, None, &[], &|a| extent_len(s, &store, a));
+                    ensure_plan_indexes(&mut plan, rule, s, &mut edb, &mut store);
+                    let ctx =
+                        ExecCtx::new(rule, &plan, Edb::Sorted(s, &edb), &store, &[], s.size(), AT);
                     let mut rule_derived = 0u64;
                     let store_ref = &store;
-                    exec(&ctx, 0, &mut binding, budget, &mut |idb, t| {
+                    ctx.run(budget, &mut |idb, t| {
                         rule_derived += 1;
                         if !store_ref[idb].store.contains(t) {
                             bufs[idb].extend_from_slice(t);
                             counts[idb] += 1;
                         }
+                        true
                     })?;
                     derivations += rule_derived;
                     rule_span.record_field("probes", ctx.probes.get());
@@ -892,33 +884,24 @@ impl Program {
             // (counts carry nullary facts) and deduplicated by the
             // stores on merge.
             let init_span = fmt_obs::trace_span!("datalog.init");
-            let len_pre: Vec<u32> = store.iter().map(|r| r.store.len32()).collect();
+            let len_pre: Vec<u32> = store.iter().map(|r| r.store.rows32()).collect();
             let mut bufs: Vec<Vec<Elem>> = vec![Vec::new(); k];
             let mut counts: Vec<usize> = vec![0; k];
             for &ri in rules_in {
                 let rule = &self.rules[ri];
                 let mut rule_span =
                     fmt_obs::trace_span!("datalog.rule", rule = ri, round = iterations + 1);
-                let plan = plan_rule(rule, None, s, &store);
-                ensure_plan_indexes(&plan, rule, s, &mut edb, &mut store);
-                let ctx = ExecCtx {
-                    s,
-                    rule,
-                    plan: &plan,
-                    edb: &edb,
-                    store: &store,
-                    driver: &[],
-                    head_idb: head_idb(rule),
-                    probes: Cell::new(0),
-                    probe_allocs: Cell::new(0),
-                };
-                let mut binding = vec![None; rule_num_vars(rule)];
+                let mut plan = join::plan(rule, None, &[], &|a| extent_len(s, &store, a));
+                ensure_plan_indexes(&mut plan, rule, s, &mut edb, &mut store);
+                let ctx =
+                    ExecCtx::new(rule, &plan, Edb::Sorted(s, &edb), &store, &[], s.size(), AT);
                 let mut rule_derived = 0u64;
                 let staged0: usize = bufs.iter().map(Vec::len).sum();
-                exec(&ctx, 0, &mut binding, budget, &mut |idb, t| {
+                ctx.run(budget, &mut |idb, t| {
                     rule_derived += 1;
                     bufs[idb].extend_from_slice(t);
                     counts[idb] += 1;
+                    true
                 })?;
                 derivations += rule_derived;
                 let staged: usize = bufs.iter().map(Vec::len).sum::<usize>() - staged0;
@@ -950,7 +933,7 @@ impl Program {
             OBS_DELTA_SIZE.record(initial_facts);
             delta_history.push(initial_facts);
             for (j, d) in delta.iter_mut().enumerate() {
-                *d = (len_pre[j], store[j].store.len32());
+                *d = (len_pre[j], store[j].store.rows32());
             }
 
             while delta.iter().any(|&(d0, d1)| d1 > d0) {
@@ -981,8 +964,10 @@ impl Program {
                             let pi = match plan_of.get(&(ri, pos)) {
                                 Some(&pi) => pi,
                                 None => {
-                                    let plan = plan_rule(rule, Some(pos), s, &store);
-                                    ensure_plan_indexes(&plan, rule, s, &mut edb, &mut store);
+                                    let mut plan = join::plan(rule, Some(pos), &[], &|a| {
+                                        extent_len(s, &store, a)
+                                    });
+                                    ensure_plan_indexes(&mut plan, rule, s, &mut edb, &mut store);
                                     plans.push(plan);
                                     plan_of.insert((ri, pos), plans.len() - 1);
                                     plans.len() - 1
@@ -1041,6 +1026,7 @@ impl Program {
                 let join_span = fmt_obs::trace_span!("datalog.join", jobs = jobs.len());
                 let store_ref = &store;
                 let plans_ref = &plans;
+                let sorted = Edb::Sorted(s, &edb);
                 let results = fan_out(threads, &items, |chunk| -> BudgetResult<_> {
                     let mut derivs = 0u64;
                     let mut bufs: Vec<Vec<Elem>> = vec![Vec::new(); k];
@@ -1055,24 +1041,22 @@ impl Program {
                             round = iterations,
                             tuples = shard.len()
                         );
-                        let ctx = ExecCtx {
-                            s,
+                        let ctx = ExecCtx::new(
                             rule,
-                            plan: &plans_ref[pi],
-                            edb: &edb,
-                            store: store_ref,
-                            driver: shard,
-                            head_idb: head_idb(rule),
-                            probes: Cell::new(0),
-                            probe_allocs: Cell::new(0),
-                        };
-                        let mut binding = vec![None; rule_num_vars(rule)];
+                            &plans_ref[pi],
+                            sorted,
+                            store_ref,
+                            shard,
+                            s.size(),
+                            AT,
+                        );
                         let mut rule_derived = 0u64;
                         let staged0: usize = bufs.iter().map(Vec::len).sum();
-                        exec(&ctx, 0, &mut binding, budget, &mut |idb, t| {
+                        ctx.run(budget, &mut |idb, t| {
                             rule_derived += 1;
                             bufs[idb].extend_from_slice(t);
                             counts[idb] += 1;
+                            true
                         })?;
                         derivs += rule_derived;
                         let staged: usize = bufs.iter().map(Vec::len).sum::<usize>() - staged0;
@@ -1089,7 +1073,7 @@ impl Program {
                 // the stores — push_if_new is the hash-set insert and the
                 // arena append in one step.
                 let dedup_span = fmt_obs::trace_span!("datalog.dedup");
-                let len_before: Vec<u32> = store.iter().map(|r| r.store.len32()).collect();
+                let len_before: Vec<u32> = store.iter().map(|r| r.store.rows32()).collect();
                 let mut new_facts = 0u64;
                 for chunk_result in results {
                     let (derivs, bufs, counts) = chunk_result?;
@@ -1113,7 +1097,7 @@ impl Program {
                 let merge_span = fmt_obs::trace_span!("datalog.merge");
                 for (j, d) in delta.iter_mut().enumerate() {
                     store[j].extend_indexes();
-                    *d = (len_before[j], store[j].store.len32());
+                    *d = (len_before[j], store[j].store.rows32());
                 }
                 drop(merge_span);
                 OBS_DELTA_FACTS.add(new_facts);
@@ -1481,7 +1465,7 @@ impl IdbStore {
 /// path, where a `HashMap` keyed by `(usize, Vec<usize>)` would
 /// allocate a key per call.
 #[derive(Debug, Default)]
-struct EdbCache {
+pub(crate) struct EdbCache {
     cache: Vec<((usize, Vec<usize>), TupleIndex)>,
 }
 
@@ -1495,7 +1479,7 @@ impl EdbCache {
         self.cache.push(((r.0, key.to_vec()), idx));
     }
 
-    fn get(&self, r: RelId, key: &[usize]) -> &TupleIndex {
+    pub(crate) fn get(&self, r: RelId, key: &[usize]) -> &TupleIndex {
         &self
             .cache
             .iter()
@@ -1503,32 +1487,6 @@ impl EdbCache {
             .expect("index was built by ensure_plan_indexes")
             .1
     }
-}
-
-/// How one body atom is accessed by the join kernel.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum Access {
-    /// The delta-driver atom: iterate the (sharded) delta tuples.
-    ScanDelta,
-    /// No bound positions: iterate the full extent.
-    Scan,
-    /// EDB atom whose first `k` argument positions are bound: binary
-    /// prefix probe on the relation's sorted rows.
-    ProbePrefix(usize),
-    /// Hash-index probe on the given bound argument positions.
-    Probe(Vec<usize>),
-    /// Anti-join check for a negated atom: every argument is bound, so
-    /// the fully-instantiated tuple is tested for *absence* from the
-    /// completed lower-stratum extent (sorted-prefix probe for EDB,
-    /// `TupleStore::contains` for IDB — no index build needed).
-    NegCheck,
-}
-
-/// One step of a rule plan: which body atom to join next, and how.
-#[derive(Debug, Clone)]
-struct Step {
-    atom: usize,
-    access: Access,
 }
 
 pub(crate) fn rule_num_vars(rule: &Rule) -> usize {
@@ -1547,121 +1505,35 @@ pub(crate) fn head_idb(rule: &Rule) -> usize {
     }
 }
 
-/// Greedy join order for one rule: the delta driver (if any) first,
-/// then repeatedly the positive atom with the most bound argument
-/// positions, breaking ties toward the smallest extent, then written
-/// order. Each chosen atom records how it will be accessed given what
-/// is bound. Negated atoms are placed as anti-join checks at the
-/// earliest step where every one of their variables is bound — the
-/// soonest the membership test is decidable is where it prunes most.
-fn plan_rule(rule: &Rule, driver: Option<usize>, s: &Structure, store: &[IdbStore]) -> Vec<Step> {
-    let num_vars = rule_num_vars(rule);
-    let mut bound = vec![false; num_vars];
-    let mut steps: Vec<Step> = Vec::with_capacity(rule.body.len());
-    let mut remaining: Vec<usize> = (0..rule.body.len())
-        .filter(|&i| !rule.body[i].negated)
-        .collect();
-    let mut neg_remaining: Vec<usize> = (0..rule.body.len())
-        .filter(|&i| rule.body[i].negated)
-        .collect();
-
-    let take = |i: usize, steps: &mut Vec<Step>, bound: &mut Vec<bool>, access: Access| {
-        steps.push(Step { atom: i, access });
-        for &v in &rule.body[i].args {
-            bound[v as usize] = true;
-        }
-    };
-    let place_negs = |steps: &mut Vec<Step>, bound: &Vec<bool>, neg: &mut Vec<usize>| {
-        neg.retain(|&i| {
-            if rule.body[i].args.iter().all(|&v| bound[v as usize]) {
-                steps.push(Step {
-                    atom: i,
-                    access: Access::NegCheck,
-                });
-                false
-            } else {
-                true
-            }
-        });
-    };
-
-    // Variable-free negated atoms (nullary, typically) gate the whole
-    // rule — check them before touching any extent.
-    place_negs(&mut steps, &bound, &mut neg_remaining);
-
-    if let Some(d) = driver {
-        take(d, &mut steps, &mut bound, Access::ScanDelta);
-        remaining.retain(|&i| i != d);
-        place_negs(&mut steps, &bound, &mut neg_remaining);
+/// The extent size [`join::plan`] breaks ties by in batch evaluation.
+fn extent_len(s: &Structure, store: &[IdbStore], atom: &Atom) -> usize {
+    match atom.pred {
+        Pred::Edb(r) => s.rel(r).len(),
+        Pred::Idb(j) => store[j].len(),
     }
-
-    let extent_len = |atom: &Atom| -> usize {
-        match atom.pred {
-            Pred::Edb(r) => s.rel(r).len(),
-            Pred::Idb(j) => store[j].len(),
-        }
-    };
-
-    while !remaining.is_empty() {
-        let best = remaining
-            .iter()
-            .copied()
-            .max_by_key(|&i| {
-                let atom = &rule.body[i];
-                let bound_positions = atom.args.iter().filter(|&&v| bound[v as usize]).count();
-                (
-                    bound_positions,
-                    std::cmp::Reverse(extent_len(atom)),
-                    std::cmp::Reverse(i),
-                )
-            })
-            .expect("remaining is nonempty");
-        let atom = &rule.body[best];
-        let key: Vec<usize> = (0..atom.args.len())
-            .filter(|&p| bound[atom.args[p] as usize])
-            .collect();
-        let access = if key.is_empty() {
-            Access::Scan
-        } else {
-            match atom.pred {
-                // A bound prefix of a sorted EDB relation needs no
-                // index build at all.
-                Pred::Edb(_) if key.iter().enumerate().all(|(i, &p)| i == p) => {
-                    Access::ProbePrefix(key.len())
-                }
-                _ => Access::Probe(key),
-            }
-        };
-        take(best, &mut steps, &mut bound, access);
-        remaining.retain(|&i| i != best);
-        place_negs(&mut steps, &bound, &mut neg_remaining);
-    }
-    // Anything left is unsafe negation; the engines reject it before
-    // planning (`eval_strata`), but keep the plan total regardless.
-    for i in neg_remaining {
-        steps.push(Step {
-            atom: i,
-            access: Access::NegCheck,
-        });
-    }
-    steps
 }
 
 /// Builds every index a plan will probe, so execution can share the
-/// caches immutably (and across worker threads).
+/// caches immutably (and across worker threads). A probe on the bound
+/// prefix `0..k` of an EDB atom needs no index at all — the relation's
+/// rows are sorted — so it becomes an [`Access::ProbePrefix`].
 fn ensure_plan_indexes(
-    plan: &[Step],
+    plan: &mut [Step],
     rule: &Rule,
     s: &Structure,
     edb: &mut EdbCache,
     store: &mut [IdbStore],
 ) {
     for step in plan {
-        if let Access::Probe(key) = &step.access {
-            match rule.body[step.atom].pred {
-                Pred::Edb(r) => edb.ensure(s, r, key),
-                Pred::Idb(j) => store[j].ensure_index(key),
+        let Access::Probe(key) = &step.access else {
+            continue;
+        };
+        match rule.body[step.atom].pred {
+            Pred::Edb(_) if key.iter().enumerate().all(|(i, &p)| i == p) => {
+                step.access = Access::ProbePrefix(key.len());
             }
+            Pred::Edb(r) => edb.ensure(s, r, key),
+            Pred::Idb(j) => store[j].ensure_index(key),
         }
     }
 }
@@ -1723,295 +1595,8 @@ fn emit_head_scan(
     rec(s, &rule.head, head_idb, binding, &unbound, 0, budget, emit)
 }
 
-/// Everything the join kernel needs for one rule application; shared
-/// immutably across worker threads.
-struct ExecCtx<'a> {
-    s: &'a Structure,
-    rule: &'a Rule,
-    plan: &'a [Step],
-    edb: &'a EdbCache,
-    store: &'a [IdbStore],
-    /// Delta row ids for the `ScanDelta` step (a shard, or everything),
-    /// indexing into the driven IDB's store.
-    driver: &'a [u32],
-    head_idb: usize,
-    /// Candidate tuples the kernel tried to bind during this rule
-    /// application — the per-rule probe count reported on trace spans
-    /// and by `fmtk datalog --explain`. A `Cell` because the kernel
-    /// threads `&ExecCtx` immutably; each context lives on one thread.
-    probes: Cell<u64>,
-    /// Heap allocations the kernel's stack buffers spilled into (keys,
-    /// prefixes, or head tuples wider than [`VAL_STACK`]); zero on the
-    /// steady-state join loop, surfaced per rule for `--explain`.
-    probe_allocs: Cell<u64>,
-}
-
 /// Bytes per stored element, for the arena-bytes trace fields.
 const ELEM_BYTES: usize = std::mem::size_of::<Elem>();
-
-/// Stack capacity for probe keys, prefixes, and head tuples — wide
-/// enough for every realistic atom; wider tuples spill to the heap and
-/// are counted in `queries.store.probe_allocs`.
-const VAL_STACK: usize = 8;
-
-/// Copies `n` values into `stack` (or `heap` when they don't fit) and
-/// returns the filled slice — the zero-allocation buffer behind every
-/// probe key and head emission in the kernel.
-fn fill_slice<'b>(
-    ctx: &ExecCtx<'_>,
-    n: usize,
-    vals: impl Iterator<Item = Elem>,
-    stack: &'b mut [Elem; VAL_STACK],
-    heap: &'b mut Vec<Elem>,
-) -> &'b [Elem] {
-    if n <= VAL_STACK {
-        for (slot, v) in stack.iter_mut().zip(vals) {
-            *slot = v;
-        }
-        &stack[..n]
-    } else {
-        ctx.probe_allocs.set(ctx.probe_allocs.get() + 1);
-        store::note_probe_alloc();
-        heap.extend(vals);
-        heap
-    }
-}
-
-/// Emits every instantiation of the head under the current binding;
-/// unbound head variables range over the whole domain. The binding is
-/// fully restored before a budget error propagates.
-fn emit_head_unbound(
-    ctx: &ExecCtx<'_>,
-    binding: &mut Vec<Option<Elem>>,
-    budget: &Budget,
-    emit: &mut dyn FnMut(usize, &[Elem]),
-) -> BudgetResult<()> {
-    fn rec(
-        ctx: &ExecCtx<'_>,
-        binding: &mut Vec<Option<Elem>>,
-        unbound: &[DlVar],
-        i: usize,
-        budget: &Budget,
-        emit: &mut dyn FnMut(usize, &[Elem]),
-    ) -> BudgetResult<()> {
-        if i == unbound.len() {
-            budget.tick(AT)?;
-            let head = &ctx.rule.head;
-            let mut stack = [0; VAL_STACK];
-            let mut heap = Vec::new();
-            let t = fill_slice(
-                ctx,
-                head.args.len(),
-                head.args
-                    .iter()
-                    .map(|&v| binding[v as usize].expect("head var bound")),
-                &mut stack,
-                &mut heap,
-            );
-            emit(ctx.head_idb, t);
-            return Ok(());
-        }
-        let mut result = Ok(());
-        for d in ctx.s.domain() {
-            binding[unbound[i] as usize] = Some(d);
-            result = rec(ctx, binding, unbound, i + 1, budget, emit);
-            if result.is_err() {
-                break;
-            }
-        }
-        binding[unbound[i] as usize] = None;
-        result
-    }
-
-    // Empty for range-restricted rules, so the steady-state path never
-    // allocates here (an empty `filter().collect()` does not allocate).
-    let mut unbound: Vec<DlVar> = ctx
-        .rule
-        .head
-        .args
-        .iter()
-        .copied()
-        .filter(|&v| binding[v as usize].is_none())
-        .collect();
-    unbound.sort_unstable();
-    unbound.dedup();
-    rec(ctx, binding, &unbound, 0, budget, emit)
-}
-
-/// Binds a candidate tuple — addressed by a column accessor, so row-id
-/// and slice candidates share one path — against the atom at plan step
-/// `step_i`, recursing into the next step on success. Touched variables
-/// are tracked in a bitmask (spilling past 128 into a lazily-allocated
-/// `Vec`) and the binding is fully restored before a budget error
-/// propagates.
-fn try_candidate(
-    ctx: &ExecCtx<'_>,
-    step_i: usize,
-    get: impl Fn(usize) -> Elem,
-    binding: &mut Vec<Option<Elem>>,
-    budget: &Budget,
-    emit: &mut dyn FnMut(usize, &[Elem]),
-) -> BudgetResult<()> {
-    ctx.probes.set(ctx.probes.get() + 1);
-    let atom = &ctx.rule.body[ctx.plan[step_i].atom];
-    let mut touched: u128 = 0;
-    let mut spill: Vec<DlVar> = Vec::new();
-    let mut ok = true;
-    for (i, &v) in atom.args.iter().enumerate() {
-        let e = get(i);
-        match binding[v as usize] {
-            Some(b) if b != e => {
-                ok = false;
-                break;
-            }
-            Some(_) => {}
-            None => {
-                binding[v as usize] = Some(e);
-                if (v as usize) < 128 {
-                    touched |= 1u128 << v;
-                } else {
-                    spill.push(v);
-                }
-            }
-        }
-    }
-    let result = if ok {
-        exec(ctx, step_i + 1, binding, budget, emit)
-    } else {
-        Ok(())
-    };
-    while touched != 0 {
-        binding[touched.trailing_zeros() as usize] = None;
-        touched &= touched - 1;
-    }
-    for v in spill {
-        binding[v as usize] = None;
-    }
-    result
-}
-
-/// The indexed join kernel: runs plan step `step_i` under the current
-/// binding, emitting head instantiations once every step is satisfied.
-/// Ticks the budget once per step entered. IDB candidates are walked as
-/// row ids over the columnar stores; EDB candidates as row slices —
-/// neither path materializes a tuple or a probe key on the heap.
-fn exec(
-    ctx: &ExecCtx<'_>,
-    step_i: usize,
-    binding: &mut Vec<Option<Elem>>,
-    budget: &Budget,
-    emit: &mut dyn FnMut(usize, &[Elem]),
-) -> BudgetResult<()> {
-    budget.tick(AT)?;
-    if step_i == ctx.plan.len() {
-        return emit_head_unbound(ctx, binding, budget, emit);
-    }
-    let step = &ctx.plan[step_i];
-    let atom = &ctx.rule.body[step.atom];
-    match (&step.access, atom.pred) {
-        (Access::NegCheck, _) => {
-            // Anti-join: the planner placed this step only once every
-            // argument was bound, so the tuple is fully determined —
-            // one membership probe decides the whole subtree.
-            ctx.probes.set(ctx.probes.get() + 1);
-            let mut stack = [0; VAL_STACK];
-            let mut heap = Vec::new();
-            let t = fill_slice(
-                ctx,
-                atom.args.len(),
-                atom.args
-                    .iter()
-                    .map(|&v| binding[v as usize].expect("negated atom variables are bound")),
-                &mut stack,
-                &mut heap,
-            );
-            let present = match atom.pred {
-                Pred::Edb(r) => index::probe_prefix(ctx.s.rel(r), t).next().is_some(),
-                Pred::Idb(j) => ctx.store[j].store.contains(t),
-            };
-            if !present {
-                exec(ctx, step_i + 1, binding, budget, emit)?;
-            }
-        }
-        (Access::ScanDelta, Pred::Idb(j)) => {
-            index::note_scan(ctx.driver.len() as u64);
-            let st = &ctx.store[j].store;
-            for &row in ctx.driver {
-                try_candidate(ctx, step_i, |p| st.value(row, p), binding, budget, emit)?;
-            }
-        }
-        (Access::ScanDelta, Pred::Edb(_)) => {
-            unreachable!("delta drivers are IDB atoms")
-        }
-        (Access::Scan, Pred::Edb(r)) => {
-            let rel = ctx.s.rel(r);
-            index::note_scan(rel.len() as u64);
-            for t in rel.iter() {
-                try_candidate(ctx, step_i, |p| t[p], binding, budget, emit)?;
-            }
-        }
-        (Access::Scan, Pred::Idb(j)) => {
-            let st = &ctx.store[j].store;
-            index::note_scan(st.len() as u64);
-            for row in 0..st.len32() {
-                try_candidate(ctx, step_i, |p| st.value(row, p), binding, budget, emit)?;
-            }
-        }
-        (Access::ProbePrefix(k), Pred::Edb(r)) => {
-            let mut stack = [0; VAL_STACK];
-            let mut heap = Vec::new();
-            let prefix = fill_slice(
-                ctx,
-                *k,
-                (0..*k).map(|p| {
-                    binding[atom.args[p] as usize].expect("planned key position is bound")
-                }),
-                &mut stack,
-                &mut heap,
-            );
-            for t in index::probe_prefix(ctx.s.rel(r), prefix) {
-                try_candidate(ctx, step_i, |p| t[p], binding, budget, emit)?;
-            }
-        }
-        (Access::ProbePrefix(_), Pred::Idb(_)) => {
-            unreachable!("prefix probes are planned for EDB atoms only")
-        }
-        (Access::Probe(key), Pred::Edb(r)) => {
-            let mut stack = [0; VAL_STACK];
-            let mut heap = Vec::new();
-            let kv = fill_slice(
-                ctx,
-                key.len(),
-                key.iter().map(|&p| {
-                    binding[atom.args[p] as usize].expect("planned key position is bound")
-                }),
-                &mut stack,
-                &mut heap,
-            );
-            for t in ctx.edb.get(r, key).probe(kv) {
-                try_candidate(ctx, step_i, |p| t[p], binding, budget, emit)?;
-            }
-        }
-        (Access::Probe(key), Pred::Idb(j)) => {
-            let mut stack = [0; VAL_STACK];
-            let mut heap = Vec::new();
-            let kv = fill_slice(
-                ctx,
-                key.len(),
-                key.iter().map(|&p| {
-                    binding[atom.args[p] as usize].expect("planned key position is bound")
-                }),
-                &mut stack,
-                &mut heap,
-            );
-            let st = &ctx.store[j].store;
-            for row in ctx.store[j].index(key).probe(st, kv) {
-                try_candidate(ctx, step_i, |p| st.value(row, p), binding, budget, emit)?;
-            }
-        }
-    }
-    Ok(())
-}
 
 #[cfg(test)]
 mod tests {
@@ -2396,7 +1981,7 @@ mod tests {
         .unwrap();
         let s = builders::directed_path(4);
         let store = prog.new_store();
-        let plan = plan_rule(&prog.rules()[0], None, &s, &store);
+        let plan = join::plan(&prog.rules()[0], None, &[], &|a| extent_len(&s, &store, a));
         // The NegCheck on `!e(y, y)` lands right after the first step
         // binds y — before the second positive edge atom is joined.
         let neg_step = plan
@@ -2409,14 +1994,20 @@ mod tests {
     #[test]
     fn planner_orders_most_bound_first() {
         // sg rule with the delta at position 2: the driver binds xp and
-        // yp, so both edge atoms become indexable probes.
+        // yp, so both edge atoms become indexable probes — on a bound
+        // prefix of the sorted edge relation, which batch evaluation
+        // turns into prefix probes.
         let prog = Program::same_generation();
         let s = builders::full_binary_tree(3);
-        let store = prog.new_store();
+        let mut store = prog.new_store();
         let rule = &prog.rules()[1];
-        let plan = plan_rule(rule, Some(2), &s, &store);
+        let mut plan = join::plan(rule, Some(2), &[], &|a| extent_len(&s, &store, a));
         assert_eq!(plan[0].atom, 2);
         assert_eq!(plan[0].access, Access::ScanDelta);
+        for step in &plan[1..] {
+            assert_eq!(step.access, Access::Probe(vec![0]));
+        }
+        ensure_plan_indexes(&mut plan, rule, &s, &mut EdbCache::default(), &mut store);
         for step in &plan[1..] {
             assert_eq!(
                 step.access,
@@ -2426,7 +2017,7 @@ mod tests {
         }
         // Without a driver nothing is bound at first: the smallest
         // extent leads (the empty IDB extent beats the edge relation).
-        let plan = plan_rule(rule, None, &s, &store);
+        let plan = join::plan(rule, None, &[], &|a| extent_len(&s, &store, a));
         assert_eq!(plan[0].atom, 2);
         assert_eq!(plan[0].access, Access::Scan);
     }

@@ -32,7 +32,8 @@
 //! operation sequence at one thread — deterministic. Work is metered
 //! under `queries.incr.*` and traced as `datalog.incr.*` spans.
 
-use crate::datalog::{head_idb, rule_num_vars, Atom, IdbStore, Pred, Program, Rule};
+use crate::datalog::{head_idb, rule_num_vars, Atom, IdbStore, Pred, Program};
+use crate::join::{self, exec, Access, Edb, ExecCtx, Step};
 use fmt_structures::budget::{Budget, BudgetResult};
 use fmt_structures::index::ColumnIndex;
 use fmt_structures::par::fan_out;
@@ -60,31 +61,6 @@ static OBS_ROUNDS: fmt_obs::Counter = fmt_obs::Counter::new("queries.incr.rounds
 /// From-scratch rebuilds (first poll, or recovery after exhaustion).
 static OBS_REBUILDS: fmt_obs::Counter = fmt_obs::Counter::new("queries.incr.rebuilds");
 
-/// How one body atom is accessed by the incremental join kernel. The
-/// runtime stores EDB and IDB extents uniformly as [`TupleStore`]s, so
-/// unlike the batch engine there is no sorted-prefix access — bound
-/// positions always probe a [`ColumnIndex`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum Access {
-    /// The delta-driver atom: iterate the given row ids.
-    ScanDelta,
-    /// No bound positions: iterate the full live extent.
-    Scan,
-    /// Hash-index probe on the given bound argument positions.
-    Probe(Vec<usize>),
-}
-
-/// One step of a rule plan: which body atom to join next, and how.
-#[derive(Debug, Clone)]
-struct Step {
-    atom: usize,
-    access: Access,
-    /// The variables this step binds: those of its atom that neither
-    /// the plan's pre-binding nor an earlier step binds. Backtracking
-    /// unbinds exactly these, whatever the rule's variable count.
-    fresh: Vec<u32>,
-}
-
 /// Key of the per-rule plan cache. Mirrors the batch engine's
 /// per-(rule, pos) cache, extended with the two driverless shapes the
 /// maintenance loop needs.
@@ -97,252 +73,6 @@ enum PlanKey {
     /// No driver, head variables pre-bound: the DRed remaining-support
     /// check.
     Goal { rule: usize },
-}
-
-/// Greedy join order for one rule under the runtime's uniform columnar
-/// extents: the delta driver (if any) first, then repeatedly the atom
-/// with the most bound argument positions, breaking ties toward the
-/// smallest extent, then written order — the batch planner's policy
-/// with [`Access::Probe`] for every bound access.
-fn plan_incr(
-    rule: &Rule,
-    driver: Option<usize>,
-    pre_bound: &[bool],
-    extent_len: &dyn Fn(&Atom) -> usize,
-) -> Vec<Step> {
-    let num_vars = rule_num_vars(rule);
-    let mut bound = vec![false; num_vars];
-    bound[..pre_bound.len()].copy_from_slice(pre_bound);
-    let mut steps: Vec<Step> = Vec::with_capacity(rule.body.len());
-    let mut remaining: Vec<usize> = (0..rule.body.len()).collect();
-
-    let take = |i: usize, steps: &mut Vec<Step>, bound: &mut Vec<bool>, access: Access| {
-        let mut fresh = Vec::new();
-        for &v in &rule.body[i].args {
-            if !bound[v as usize] {
-                bound[v as usize] = true;
-                fresh.push(v);
-            }
-        }
-        steps.push(Step {
-            atom: i,
-            access,
-            fresh,
-        });
-    };
-
-    if let Some(d) = driver {
-        take(d, &mut steps, &mut bound, Access::ScanDelta);
-        remaining.retain(|&i| i != d);
-    }
-
-    while !remaining.is_empty() {
-        let best = remaining
-            .iter()
-            .copied()
-            .max_by_key(|&i| {
-                let atom = &rule.body[i];
-                let bound_positions = atom.args.iter().filter(|&&v| bound[v as usize]).count();
-                (
-                    bound_positions,
-                    std::cmp::Reverse(extent_len(atom)),
-                    std::cmp::Reverse(i),
-                )
-            })
-            .expect("remaining is nonempty");
-        let atom = &rule.body[best];
-        let key: Vec<usize> = (0..atom.args.len())
-            .filter(|&p| bound[atom.args[p] as usize])
-            .collect();
-        let access = if key.is_empty() {
-            Access::Scan
-        } else {
-            Access::Probe(key)
-        };
-        take(best, &mut steps, &mut bound, access);
-        remaining.retain(|&i| i != best);
-    }
-    steps
-}
-
-/// Everything the incremental kernel needs for one rule application;
-/// shared immutably across worker threads.
-struct Kernel<'a> {
-    rule: &'a Rule,
-    plan: &'a [Step],
-    edb: &'a [IdbStore],
-    idb: &'a [IdbStore],
-    /// Row ids for the `ScanDelta` step, indexing into the driven
-    /// predicate's store (EDB or IDB).
-    driver: &'a [u32],
-    domain: u32,
-    head_idb: usize,
-}
-
-impl<'a> Kernel<'a> {
-    fn rel(&self, pred: Pred) -> &'a IdbStore {
-        match pred {
-            Pred::Edb(r) => &self.edb[r.0],
-            Pred::Idb(j) => &self.idb[j],
-        }
-    }
-
-    /// Emits every instantiation of the head under the current binding,
-    /// with unbound head variables ranging over the whole domain.
-    /// `emit` returns `false` to stop the whole join (the goal-directed
-    /// rederivation check wants the first witness only); the kernel
-    /// forwards that as `Ok(false)`.
-    fn emit_head(
-        &self,
-        binding: &mut [Option<Elem>],
-        budget: &Budget,
-        emit: &mut dyn FnMut(&[Elem]) -> bool,
-    ) -> BudgetResult<bool> {
-        fn rec(
-            k: &Kernel<'_>,
-            binding: &mut [Option<Elem>],
-            unbound: &[u32],
-            i: usize,
-            buf: &mut Vec<Elem>,
-            budget: &Budget,
-            emit: &mut dyn FnMut(&[Elem]) -> bool,
-        ) -> BudgetResult<bool> {
-            if i == unbound.len() {
-                budget.tick(AT)?;
-                buf.clear();
-                buf.extend(
-                    k.rule
-                        .head
-                        .args
-                        .iter()
-                        .map(|&v| binding[v as usize].expect("head var bound")),
-                );
-                return Ok(emit(buf));
-            }
-            let mut keep_going = true;
-            for d in 0..k.domain {
-                binding[unbound[i] as usize] = Some(d);
-                match rec(k, binding, unbound, i + 1, buf, budget, emit) {
-                    Ok(true) => {}
-                    other => {
-                        keep_going = false;
-                        binding[unbound[i] as usize] = None;
-                        return other.map(|_| keep_going);
-                    }
-                }
-            }
-            binding[unbound[i] as usize] = None;
-            Ok(keep_going)
-        }
-
-        // Empty for range-restricted rules and for goal plans (where
-        // every head variable is pre-bound).
-        let mut unbound: Vec<u32> = self
-            .rule
-            .head
-            .args
-            .iter()
-            .copied()
-            .filter(|&v| binding[v as usize].is_none())
-            .collect();
-        unbound.sort_unstable();
-        unbound.dedup();
-        let mut buf = Vec::with_capacity(self.rule.head.args.len());
-        rec(self, binding, &unbound, 0, &mut buf, budget, emit)
-    }
-
-    /// Binds a candidate row against the atom at plan step `step_i`,
-    /// recursing into the next step on success; the binding is fully
-    /// restored before returning by unbinding the step's
-    /// [`Step::fresh`] variables.
-    fn try_candidate(
-        &self,
-        step_i: usize,
-        st: &TupleStore,
-        row: u32,
-        binding: &mut [Option<Elem>],
-        budget: &Budget,
-        emit: &mut dyn FnMut(&[Elem]) -> bool,
-    ) -> BudgetResult<bool> {
-        let step = &self.plan[step_i];
-        let atom = &self.rule.body[step.atom];
-        let mut ok = true;
-        for (i, &v) in atom.args.iter().enumerate() {
-            let e = st.value(row, i);
-            match binding[v as usize] {
-                Some(b) if b != e => {
-                    ok = false;
-                    break;
-                }
-                Some(_) => {}
-                None => binding[v as usize] = Some(e),
-            }
-        }
-        let result = if ok {
-            self.exec(step_i + 1, binding, budget, emit)
-        } else {
-            Ok(true)
-        };
-        for &v in &step.fresh {
-            binding[v as usize] = None;
-        }
-        result
-    }
-
-    /// Runs plan step `step_i` under the current binding, emitting head
-    /// instantiations once every step is satisfied. Ticks the budget
-    /// once per step entered; returns `Ok(false)` as soon as `emit`
-    /// asks to stop.
-    fn exec(
-        &self,
-        step_i: usize,
-        binding: &mut [Option<Elem>],
-        budget: &Budget,
-        emit: &mut dyn FnMut(&[Elem]) -> bool,
-    ) -> BudgetResult<bool> {
-        budget.tick(AT)?;
-        if step_i == self.plan.len() {
-            return self.emit_head(binding, budget, emit);
-        }
-        let step = &self.plan[step_i];
-        let atom = &self.rule.body[step.atom];
-        let st = &self.rel(atom.pred).store;
-        match &step.access {
-            Access::ScanDelta => {
-                for &row in self.driver {
-                    if !self.try_candidate(step_i, st, row, binding, budget, emit)? {
-                        return Ok(false);
-                    }
-                }
-            }
-            Access::Scan => {
-                for row in 0..st.rows32() {
-                    if !st.is_live(row) {
-                        continue;
-                    }
-                    if !self.try_candidate(step_i, st, row, binding, budget, emit)? {
-                        return Ok(false);
-                    }
-                }
-            }
-            Access::Probe(key) => {
-                let mut kv = Vec::with_capacity(key.len());
-                kv.extend(key.iter().map(|&p| {
-                    binding[atom.args[p] as usize].expect("planned key position is bound")
-                }));
-                let idx = self.rel(atom.pred).index(key);
-                // The probe iterator borrows the store; collect row ids
-                // is avoided by re-probing lazily — but the iterator
-                // itself is cheap, so walk it directly.
-                for row in idx.probe(st, &kv) {
-                    if !self.try_candidate(step_i, st, row, binding, budget, emit)? {
-                        return Ok(false);
-                    }
-                }
-            }
-        }
-        Ok(true)
-    }
 }
 
 /// What one [`DatalogRuntime::poll`] did, in fact counts.
@@ -665,20 +395,10 @@ impl DatalogRuntime {
         let mut idb_delta: Vec<Vec<u32>> = vec![Vec::new(); self.idb.len()];
         for ri in 0..self.program.rules().len() {
             let pi = self.plan_for(PlanKey::Init { rule: ri });
-            let rule = &self.program.rules()[ri];
-            let kernel = Kernel {
-                rule,
-                plan: &self.plans[pi],
-                edb: &self.edb,
-                idb: &self.idb,
-                driver: &[],
-                domain: self.domain,
-                head_idb: head_idb(rule),
-            };
-            let h = kernel.head_idb;
+            let ctx = self.ctx(ri, pi, &[]);
+            let h = ctx.head_idb;
             let mut staged: Vec<Vec<Elem>> = Vec::new();
-            let mut binding = vec![None; rule_num_vars(rule)];
-            kernel.exec(0, &mut binding, budget, &mut |t| {
+            ctx.run(budget, &mut |_, t| {
                 staged.push(t.to_vec());
                 true
             })?;
@@ -803,21 +523,12 @@ impl DatalogRuntime {
                     Pred::Edb(r) => &edb_delta[r.0],
                     Pred::Idb(j) => &idb_delta[j],
                 };
-                let kernel = Kernel {
-                    rule,
-                    plan: &self.plans[pi],
-                    edb: &self.edb,
-                    idb: &self.idb,
-                    driver,
-                    domain: self.domain,
-                    head_idb: head_idb(rule),
-                };
-                let h = kernel.head_idb;
+                let ctx = self.ctx(ri, pi, driver);
+                let h = ctx.head_idb;
                 let head_store = &self.idb[h].store;
                 let marks = &mut marked[h];
                 let fresh = &mut next_delta[h];
-                let mut binding = vec![None; rule_num_vars(rule)];
-                kernel.exec(0, &mut binding, budget, &mut |t| {
+                ctx.run(budget, &mut |_, t| {
                     // Every emitted head had a derivation over the old
                     // extents, so it is in the old fixpoint; mark it
                     // for deletion once.
@@ -920,21 +631,15 @@ impl DatalogRuntime {
             if !consistent {
                 continue;
             }
-            let kernel = Kernel {
-                rule,
-                plan: &self.plans[pi],
-                edb: &self.edb,
-                idb: &self.idb,
-                driver: &[],
-                domain: self.domain,
-                head_idb: idb,
-            };
-            let mut found = false;
-            kernel.exec(0, &mut binding, budget, &mut |_| {
-                found = true;
-                false // first witness suffices
-            })?;
-            if found {
+            // The first witness suffices: `emit` stops the join, and
+            // the kernel reports the stop as `Ok(false)`.
+            if !exec(
+                &self.ctx(ri, pi, &[]),
+                0,
+                &mut binding,
+                budget,
+                &mut |_, _| false,
+            )? {
                 return Ok(true);
             }
         }
@@ -1007,29 +712,12 @@ impl DatalogRuntime {
             }
 
             let span = fmt_obs::trace_span!("datalog.incr.round", jobs = jobs.len());
-            let program = &self.program;
-            let plans = &self.plans;
-            let edb = &self.edb;
-            let idb = &self.idb;
-            let domain = self.domain;
             let results = fan_out(self.threads, &items, |chunk| {
                 let mut bufs: Vec<Vec<Elem>> = vec![Vec::new(); k];
                 let mut counts: Vec<usize> = vec![0; k];
                 for &(ji, driver) in chunk {
                     let (ri, _, pi) = jobs[ji];
-                    let rule = &program.rules()[ri];
-                    let kernel = Kernel {
-                        rule,
-                        plan: &plans[pi],
-                        edb,
-                        idb,
-                        driver,
-                        domain,
-                        head_idb: head_idb(rule),
-                    };
-                    let h = kernel.head_idb;
-                    let mut binding = vec![None; rule_num_vars(rule)];
-                    kernel.exec(0, &mut binding, budget, &mut |t| {
+                    self.ctx(ri, pi, driver).run(budget, &mut |h, t| {
                         bufs[h].extend_from_slice(t);
                         counts[h] += 1;
                         true
@@ -1064,6 +752,22 @@ impl DatalogRuntime {
         Ok(())
     }
 
+    /// A kernel context for rule `ri` under cached plan `pi`, with
+    /// `driver` as the `ScanDelta` rows.
+    fn ctx<'a>(&'a self, ri: usize, pi: usize, driver: &'a [u32]) -> ExecCtx<'a> {
+        let rule = &self.program.rules()[ri];
+        let edb = Edb::Columnar(&self.edb);
+        ExecCtx::new(
+            rule,
+            &self.plans[pi],
+            edb,
+            &self.idb,
+            driver,
+            self.domain,
+            AT,
+        )
+    }
+
     /// Plan-cache lookup, planning (and building the indexes the plan
     /// probes) on first sight — the incremental counterpart of the
     /// batch engine's per-(rule, pos) cache, extended with init and
@@ -1092,7 +796,7 @@ impl DatalogRuntime {
                 Pred::Idb(j) => idb[j].store.len(),
             }
         };
-        let plan = plan_incr(rule, driver, &pre_bound, &extent_len);
+        let plan = join::plan(rule, driver, &pre_bound, &extent_len);
         self.plans.push(plan);
         let pi = self.plans.len() - 1;
         self.plan_of.insert(key, pi);

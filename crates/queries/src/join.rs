@@ -1,0 +1,574 @@
+//! The join planner and join kernel shared by every indexed Datalog
+//! evaluator (see `docs/join-engine.md`):
+//!
+//! * batch evaluation ([`crate::datalog`]) plans each rule application
+//!   with [`plan`] and runs it with [`exec`] over the input structure's
+//!   sorted relations;
+//! * the incremental runtime ([`crate::incremental`]) plans its delta,
+//!   rebuild and remaining-support joins with [`plan`] and runs them
+//!   with [`exec`] over its columnar, tombstoned EDB stores;
+//! * the magic-sets rewrite ([`crate::magic`]) takes its static SIP
+//!   order from [`plan`] with no extents.
+//!
+//! The only representation difference between the callers is the EDB
+//! ([`Edb`]); IDB extents are columnar [`IdbStore`]s everywhere.
+
+use crate::datalog::{rule_num_vars, Atom, EdbCache, IdbStore, Pred, Rule};
+use fmt_structures::budget::{Budget, BudgetResult};
+use fmt_structures::index;
+use fmt_structures::store;
+use fmt_structures::{Elem, RelId, Relation, Structure};
+use std::cell::Cell;
+
+/// How one body atom is accessed by the join kernel.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) enum Access {
+    /// The delta-driver atom: iterate the driver row ids.
+    ScanDelta,
+    /// No bound positions: iterate the full live extent.
+    Scan,
+    /// Hash-index probe on the given bound argument positions.
+    Probe(Vec<usize>),
+    /// A [`Access::Probe`] on the bound prefix `0..k` of a sorted EDB
+    /// relation: binary prefix probe, no index build. Never produced by
+    /// [`plan`]; the batch engine rewrites its probes to this where it
+    /// builds the plan's indexes.
+    ProbePrefix(usize),
+    /// Anti-join check for a negated atom: every argument is bound, so
+    /// the fully-instantiated tuple is tested for *absence* from the
+    /// completed lower-stratum extent — no index build needed.
+    NegCheck,
+}
+
+/// One step of a rule plan: which body atom to join next, and how.
+#[derive(Debug, Clone)]
+pub(crate) struct Step {
+    pub(crate) atom: usize,
+    pub(crate) access: Access,
+    /// The variables this step binds: those of its atom that neither
+    /// the plan's pre-binding nor an earlier step binds (always empty
+    /// for [`Access::NegCheck`]). Backtracking unbinds exactly these,
+    /// whatever the rule's variable count.
+    pub(crate) fresh: Vec<u32>,
+}
+
+/// Greedy join order for one rule: the delta driver (if any) first,
+/// then repeatedly the positive atom with the most bound argument
+/// positions, breaking ties toward the smallest `extent_len`, then
+/// written order. Variables marked in `pre_bound` count as bound from
+/// the start (the head of a goal-directed join). Each chosen atom
+/// records how it will be accessed given what is bound. Negated atoms
+/// are placed, in written order, as anti-join checks at the earliest
+/// step where every one of their variables is bound — the soonest the
+/// membership test is decidable is where it prunes most.
+pub(crate) fn plan(
+    rule: &Rule,
+    driver: Option<usize>,
+    pre_bound: &[bool],
+    extent_len: &dyn Fn(&Atom) -> usize,
+) -> Vec<Step> {
+    let mut bound = vec![false; rule_num_vars(rule)];
+    bound[..pre_bound.len()].copy_from_slice(pre_bound);
+    let mut steps: Vec<Step> = Vec::with_capacity(rule.body.len());
+    let (mut remaining, mut negs): (Vec<usize>, Vec<usize>) =
+        (0..rule.body.len()).partition(|&i| !rule.body[i].negated);
+
+    let take = |i: usize, access: Access, steps: &mut Vec<Step>, bound: &mut Vec<bool>| {
+        let mut fresh = Vec::new();
+        for &v in &rule.body[i].args {
+            if !bound[v as usize] {
+                bound[v as usize] = true;
+                fresh.push(v);
+            }
+        }
+        steps.push(Step {
+            atom: i,
+            access,
+            fresh,
+        });
+    };
+    let place_negs = |steps: &mut Vec<Step>, bound: &[bool], negs: &mut Vec<usize>| {
+        negs.retain(|&i| {
+            let ready = rule.body[i].args.iter().all(|&v| bound[v as usize]);
+            if ready {
+                steps.push(Step {
+                    atom: i,
+                    access: Access::NegCheck,
+                    fresh: Vec::new(),
+                });
+            }
+            !ready
+        });
+    };
+
+    // Negated atoms over pre-bound variables only (nullary ones,
+    // typically) gate the whole rule — check them before any extent.
+    place_negs(&mut steps, &bound, &mut negs);
+    if let Some(d) = driver {
+        take(d, Access::ScanDelta, &mut steps, &mut bound);
+        remaining.retain(|&i| i != d);
+        place_negs(&mut steps, &bound, &mut negs);
+    }
+    while !remaining.is_empty() {
+        let best = remaining
+            .iter()
+            .copied()
+            .max_by_key(|&i| {
+                let atom = &rule.body[i];
+                let bound_positions = atom.args.iter().filter(|&&v| bound[v as usize]).count();
+                (
+                    bound_positions,
+                    std::cmp::Reverse(extent_len(atom)),
+                    std::cmp::Reverse(i),
+                )
+            })
+            .expect("remaining is nonempty");
+        let atom = &rule.body[best];
+        let key: Vec<usize> = (0..atom.args.len())
+            .filter(|&p| bound[atom.args[p] as usize])
+            .collect();
+        let access = if key.is_empty() {
+            Access::Scan
+        } else {
+            Access::Probe(key)
+        };
+        take(best, access, &mut steps, &mut bound);
+        remaining.retain(|&i| i != best);
+        place_negs(&mut steps, &bound, &mut negs);
+    }
+    // Anything left is unsafe negation; every caller rejects it before
+    // planning (`eval_strata`), but keep the plan total regardless.
+    steps.extend(negs.into_iter().map(|i| Step {
+        atom: i,
+        access: Access::NegCheck,
+        fresh: Vec::new(),
+    }));
+    steps
+}
+
+/// Where the kernel reads EDB atoms from — the one representation
+/// difference between its callers, consulted only by the EDB arms of
+/// [`exec`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Edb<'a> {
+    /// Batch evaluation: the input structure's sorted relations, plus
+    /// hash indexes for probes on non-prefix key positions.
+    Sorted(&'a Structure, &'a EdbCache),
+    /// The incremental runtime: one columnar, tombstoned extent per
+    /// relation (indexed by `RelId.0`), probed through its
+    /// `ColumnIndex`es exactly like an IDB.
+    Columnar(&'a [IdbStore]),
+}
+
+/// The extent one body atom reads, resolved through [`Edb`].
+enum Extent<'a> {
+    Columnar(&'a IdbStore),
+    Sorted(&'a Relation, &'a EdbCache, RelId),
+}
+
+/// Everything the join kernel needs for one rule application. Each
+/// worker builds its own; the plan and extents it borrows are shared
+/// immutably across threads.
+pub(crate) struct ExecCtx<'a> {
+    rule: &'a Rule,
+    plan: &'a [Step],
+    edb: Edb<'a>,
+    idb: &'a [IdbStore],
+    /// Row ids for the `ScanDelta` step, indexing into the driven
+    /// predicate's store (a shard, or the whole delta).
+    driver: &'a [u32],
+    /// Unbound head variables range over `0..domain`.
+    domain: u32,
+    pub(crate) head_idb: usize,
+    /// Budget tick site label of the calling engine.
+    site: &'static str,
+    /// Candidate tuples the kernel tried to bind during this rule
+    /// application — the per-rule probe count reported on trace spans
+    /// and by `fmtk datalog --explain`. A `Cell` because the kernel
+    /// threads `&ExecCtx` immutably; each context lives on one thread.
+    pub(crate) probes: Cell<u64>,
+    /// Heap allocations the kernel's stack buffers spilled into (keys,
+    /// prefixes, or head tuples wider than [`VAL_STACK`]); zero on the
+    /// steady-state join loop, surfaced per rule for `--explain`.
+    pub(crate) probe_allocs: Cell<u64>,
+}
+
+impl<'a> ExecCtx<'a> {
+    /// A context emitting into the rule's head IDB, ticking `budget`
+    /// under the calling engine's `site` label.
+    pub(crate) fn new(
+        rule: &'a Rule,
+        plan: &'a [Step],
+        edb: Edb<'a>,
+        idb: &'a [IdbStore],
+        driver: &'a [u32],
+        domain: u32,
+        site: &'static str,
+    ) -> ExecCtx<'a> {
+        ExecCtx {
+            rule,
+            plan,
+            edb,
+            idb,
+            driver,
+            domain,
+            head_idb: crate::datalog::head_idb(rule),
+            site,
+            probes: Cell::new(0),
+            probe_allocs: Cell::new(0),
+        }
+    }
+
+    /// Runs the whole plan from an empty binding; see [`exec`].
+    pub(crate) fn run(
+        &self,
+        budget: &Budget,
+        emit: &mut dyn FnMut(usize, &[Elem]) -> bool,
+    ) -> BudgetResult<bool> {
+        exec(
+            self,
+            0,
+            &mut vec![None; rule_num_vars(self.rule)],
+            budget,
+            emit,
+        )
+    }
+
+    fn extent(&self, pred: Pred) -> Extent<'a> {
+        match (pred, self.edb) {
+            (Pred::Idb(j), _) => Extent::Columnar(&self.idb[j]),
+            (Pred::Edb(r), Edb::Columnar(edb)) => Extent::Columnar(&edb[r.0]),
+            (Pred::Edb(r), Edb::Sorted(s, cache)) => Extent::Sorted(s.rel(r), cache, r),
+        }
+    }
+}
+
+/// Stack capacity for probe keys, prefixes, and head tuples — wide
+/// enough for every realistic atom; wider tuples spill to the heap and
+/// are counted in `queries.store.probe_allocs`.
+const VAL_STACK: usize = 8;
+
+/// Copies `n` values into `stack` (or `heap` when they don't fit) and
+/// returns the filled slice — the zero-allocation buffer behind every
+/// probe key and head emission in the kernel.
+fn fill_slice<'b>(
+    ctx: &ExecCtx<'_>,
+    n: usize,
+    vals: impl Iterator<Item = Elem>,
+    stack: &'b mut [Elem; VAL_STACK],
+    heap: &'b mut Vec<Elem>,
+) -> &'b [Elem] {
+    if n <= VAL_STACK {
+        for (slot, v) in stack.iter_mut().zip(vals) {
+            *slot = v;
+        }
+        &stack[..n]
+    } else {
+        ctx.probe_allocs.set(ctx.probe_allocs.get() + 1);
+        store::note_probe_alloc();
+        heap.extend(vals);
+        heap
+    }
+}
+
+/// Emits every instantiation of the head under the current binding;
+/// unbound head variables range over the whole domain. Returns
+/// `Ok(false)` as soon as `emit` does; the binding is fully restored
+/// before returning either way.
+fn emit_head_unbound(
+    ctx: &ExecCtx<'_>,
+    binding: &mut [Option<Elem>],
+    budget: &Budget,
+    emit: &mut dyn FnMut(usize, &[Elem]) -> bool,
+) -> BudgetResult<bool> {
+    fn rec(
+        ctx: &ExecCtx<'_>,
+        binding: &mut [Option<Elem>],
+        unbound: &[u32],
+        i: usize,
+        budget: &Budget,
+        emit: &mut dyn FnMut(usize, &[Elem]) -> bool,
+    ) -> BudgetResult<bool> {
+        if i == unbound.len() {
+            budget.tick(ctx.site)?;
+            let head = &ctx.rule.head;
+            let mut stack = [0; VAL_STACK];
+            let mut heap = Vec::new();
+            let t = fill_slice(
+                ctx,
+                head.args.len(),
+                head.args
+                    .iter()
+                    .map(|&v| binding[v as usize].expect("head var bound")),
+                &mut stack,
+                &mut heap,
+            );
+            return Ok(emit(ctx.head_idb, t));
+        }
+        let mut result = Ok(true);
+        for d in 0..ctx.domain {
+            binding[unbound[i] as usize] = Some(d);
+            result = rec(ctx, binding, unbound, i + 1, budget, emit);
+            if !matches!(result, Ok(true)) {
+                break;
+            }
+        }
+        binding[unbound[i] as usize] = None;
+        result
+    }
+
+    // Empty for range-restricted rules and goal plans, so the
+    // steady-state path never allocates here (an empty
+    // `filter().collect()` does not allocate).
+    let mut unbound: Vec<u32> = ctx
+        .rule
+        .head
+        .args
+        .iter()
+        .copied()
+        .filter(|&v| binding[v as usize].is_none())
+        .collect();
+    unbound.sort_unstable();
+    unbound.dedup();
+    rec(ctx, binding, &unbound, 0, budget, emit)
+}
+
+/// Binds a candidate tuple — addressed by a column accessor, so row-id
+/// and slice candidates share one path — against the atom at plan step
+/// `step_i`, recursing into the next step on success. The binding is
+/// fully restored before returning (also on a budget error) by
+/// unbinding the step's [`Step::fresh`] variables.
+fn try_candidate(
+    ctx: &ExecCtx<'_>,
+    step_i: usize,
+    get: impl Fn(usize) -> Elem,
+    binding: &mut [Option<Elem>],
+    budget: &Budget,
+    emit: &mut dyn FnMut(usize, &[Elem]) -> bool,
+) -> BudgetResult<bool> {
+    ctx.probes.set(ctx.probes.get() + 1);
+    let step = &ctx.plan[step_i];
+    let mut ok = true;
+    for (i, &v) in ctx.rule.body[step.atom].args.iter().enumerate() {
+        let e = get(i);
+        match binding[v as usize] {
+            Some(b) if b != e => {
+                ok = false;
+                break;
+            }
+            Some(_) => {}
+            None => binding[v as usize] = Some(e),
+        }
+    }
+    let result = if ok {
+        exec(ctx, step_i + 1, binding, budget, emit)
+    } else {
+        Ok(true)
+    };
+    for &v in &step.fresh {
+        binding[v as usize] = None;
+    }
+    result
+}
+
+/// The join kernel: runs plan step `step_i` under the current binding,
+/// emitting head instantiations once every step is satisfied. Ticks
+/// the budget once per step entered. Candidates are walked as row ids
+/// over columnar stores (skipping tombstoned rows) or as sorted-row
+/// slices — neither path materializes a tuple or a probe key on the
+/// heap. `emit` returns `false` to stop the whole join (the runtime's
+/// remaining-support check wants one witness), which the kernel
+/// forwards as `Ok(false)`.
+pub(crate) fn exec(
+    ctx: &ExecCtx<'_>,
+    step_i: usize,
+    binding: &mut [Option<Elem>],
+    budget: &Budget,
+    emit: &mut dyn FnMut(usize, &[Elem]) -> bool,
+) -> BudgetResult<bool> {
+    budget.tick(ctx.site)?;
+    if step_i == ctx.plan.len() {
+        return emit_head_unbound(ctx, binding, budget, emit);
+    }
+    let step = &ctx.plan[step_i];
+    let atom = &ctx.rule.body[step.atom];
+    let bound = |p: usize| binding[atom.args[p] as usize].expect("planned position is bound");
+    let mut stack = [0; VAL_STACK];
+    let mut heap = Vec::new();
+    match (&step.access, ctx.extent(atom.pred)) {
+        (Access::NegCheck, extent) => {
+            // The planner placed this step only once every argument
+            // was bound, so one membership probe decides the subtree.
+            ctx.probes.set(ctx.probes.get() + 1);
+            let n = atom.args.len();
+            let t = fill_slice(ctx, n, (0..n).map(bound), &mut stack, &mut heap);
+            let present = match extent {
+                Extent::Columnar(ext) => ext.store.contains(t),
+                Extent::Sorted(rel, _, _) => index::probe_prefix(rel, t).next().is_some(),
+            };
+            if !present {
+                return exec(ctx, step_i + 1, binding, budget, emit);
+            }
+        }
+        (Access::ScanDelta, Extent::Columnar(ext)) => {
+            index::note_scan(ctx.driver.len() as u64);
+            let st = &ext.store;
+            for &row in ctx.driver {
+                if !try_candidate(ctx, step_i, |p| st.value(row, p), binding, budget, emit)? {
+                    return Ok(false);
+                }
+            }
+        }
+        (Access::Scan, Extent::Columnar(ext)) => {
+            let st = &ext.store;
+            index::note_scan(st.len() as u64);
+            for row in (0..st.rows32()).filter(|&row| st.is_live(row)) {
+                if !try_candidate(ctx, step_i, |p| st.value(row, p), binding, budget, emit)? {
+                    return Ok(false);
+                }
+            }
+        }
+        (Access::Probe(key), Extent::Columnar(ext)) => {
+            let kv = fill_slice(
+                ctx,
+                key.len(),
+                key.iter().map(|&p| bound(p)),
+                &mut stack,
+                &mut heap,
+            );
+            let st = &ext.store;
+            for row in ext.index(key).probe(st, kv) {
+                if !try_candidate(ctx, step_i, |p| st.value(row, p), binding, budget, emit)? {
+                    return Ok(false);
+                }
+            }
+        }
+        (Access::Scan, Extent::Sorted(rel, _, _)) => {
+            index::note_scan(rel.len() as u64);
+            for t in rel.iter() {
+                if !try_candidate(ctx, step_i, |p| t[p], binding, budget, emit)? {
+                    return Ok(false);
+                }
+            }
+        }
+        (Access::ProbePrefix(k), Extent::Sorted(rel, _, _)) => {
+            let prefix = fill_slice(ctx, *k, (0..*k).map(bound), &mut stack, &mut heap);
+            for t in index::probe_prefix(rel, prefix) {
+                if !try_candidate(ctx, step_i, |p| t[p], binding, budget, emit)? {
+                    return Ok(false);
+                }
+            }
+        }
+        (Access::Probe(key), Extent::Sorted(_, cache, r)) => {
+            let kv = fill_slice(
+                ctx,
+                key.len(),
+                key.iter().map(|&p| bound(p)),
+                &mut stack,
+                &mut heap,
+            );
+            for t in cache.get(r, key).probe(kv) {
+                if !try_candidate(ctx, step_i, |p| t[p], binding, budget, emit)? {
+                    return Ok(false);
+                }
+            }
+        }
+        (Access::ScanDelta, Extent::Sorted(..)) => {
+            unreachable!("batch delta drivers are IDB atoms")
+        }
+        (Access::ProbePrefix(_), Extent::Columnar(_)) => {
+            unreachable!("prefix probes are planned for sorted EDB relations only")
+        }
+    }
+    Ok(true)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::datalog::Program;
+    use fmt_structures::Signature;
+
+    /// The `fresh` invariants the kernel's rollback relies on: the lists
+    /// are pairwise disjoint and disjoint from the pre-binding, together
+    /// with it they cover every variable of a positive body atom, and
+    /// anti-join checks bind nothing.
+    fn assert_fresh_partition(rule: &Rule, pre_bound: &[bool], plan: &[Step]) {
+        let mut bound = vec![false; rule_num_vars(rule)];
+        bound[..pre_bound.len()].copy_from_slice(pre_bound);
+        for step in plan {
+            if step.access == Access::NegCheck {
+                assert!(step.fresh.is_empty(), "{plan:?}");
+            }
+            for &v in &step.fresh {
+                assert!(!bound[v as usize], "variable {v} bound twice: {plan:?}");
+                bound[v as usize] = true;
+            }
+        }
+        for atom in rule.body.iter().filter(|a| !a.negated) {
+            for &v in &atom.args {
+                assert!(bound[v as usize], "variable {v} never bound: {plan:?}");
+            }
+        }
+    }
+
+    fn parse_rule(src: &str) -> Rule {
+        let prog = Program::parse(&Signature::graph(), src).unwrap();
+        prog.rules()[0].clone()
+    }
+
+    fn head_bound(rule: &Rule) -> Vec<bool> {
+        let mut pre_bound = vec![false; rule_num_vars(rule)];
+        for &v in &rule.head.args {
+            pre_bound[v as usize] = true;
+        }
+        pre_bound
+    }
+
+    #[test]
+    fn fresh_lists_partition_the_rule_variables() {
+        let extent = |a: &Atom| a.args.len();
+        // Repeated variables within and across atoms, and a negated
+        // atom, under every driver.
+        let rule = parse_rule("q(x, z) :- e(x, x), q(x, y), !e(y, y), e(y, z), e(z, z).");
+        for driver in [None, Some(0), Some(1), Some(3)] {
+            let steps = plan(&rule, driver, &[], &extent);
+            assert_eq!(steps.len(), rule.body.len());
+            assert_fresh_partition(&rule, &[], &steps);
+        }
+        // A goal plan: the head is pre-bound, so no step re-binds it.
+        let rule = parse_rule("sg(x, y) :- e(xp, x), e(yp, y), sg(xp, yp).");
+        let pre_bound = head_bound(&rule);
+        let steps = plan(&rule, None, &pre_bound, &extent);
+        assert_fresh_partition(&rule, &pre_bound, &steps);
+        assert!(steps
+            .iter()
+            .all(|s| s.fresh.iter().all(|&v| !pre_bound[v as usize])));
+        // The 131-variable chain rule, past any fixed-width mask.
+        let body: Vec<String> = (0..130).map(|i| format!("e(x{i}, x{})", i + 1)).collect();
+        let rule = parse_rule(&format!("p(x0, x130) :- {}.", body.join(", ")));
+        assert_eq!(rule_num_vars(&rule), 131);
+        for (driver, pre_bound) in [
+            (None, Vec::new()),
+            (Some(65), Vec::new()),
+            (None, head_bound(&rule)),
+        ] {
+            let steps = plan(&rule, driver, &pre_bound, &extent);
+            assert_fresh_partition(&rule, &pre_bound, &steps);
+        }
+    }
+
+    #[test]
+    fn constant_extents_order_by_bound_positions_then_written_order() {
+        // With every extent equal, the tie-break is most bound
+        // positions, then earliest written — the magic rewrite's SIP.
+        let rule = parse_rule("p(x, w) :- e(y, z), e(x, y), !e(z, z), e(z, w).");
+        let mut pre_bound = vec![false; rule_num_vars(&rule)];
+        pre_bound[0] = true; // x
+        let order: Vec<usize> = plan(&rule, None, &pre_bound, &|_| 0)
+            .iter()
+            .map(|s| s.atom)
+            .collect();
+        assert_eq!(order, vec![1, 0, 2, 3]);
+    }
+}

@@ -38,6 +38,7 @@ pub mod depgraph;
 pub mod graph;
 pub mod incremental;
 pub mod interp;
+mod join;
 pub mod magic;
 pub mod order_invariant;
 pub mod reductions;

@@ -10,9 +10,9 @@
 //!    IDB predicate reachable from the goal is specialized per
 //!    binding pattern (`tc_bf` = first argument bound). Bindings
 //!    propagate through rule bodies along a *static* sideways
-//!    information passing (SIP) order that mirrors the join planner's
-//!    greedy most-bound-first placement, so the rewrite prunes along
-//!    the same joins the engine actually runs.
+//!    information passing (SIP) order: the join planner's own
+//!    most-bound-first order with no extents, so the rewrite prunes
+//!    along the same joins the engine actually runs.
 //! 2. **Magic predicates.** Each adorned predicate with at least one
 //!    bound position gets a `magic_*` companion holding the bound
 //!    argument tuples actually *demanded* during evaluation: a guard
@@ -38,8 +38,10 @@
 //! full materialization of the original program, on every engine.
 
 use crate::datalog::{
-    is_ident, trim_span, Atom, DatalogParseError, EvalError, Output, Pred, Program, Rule,
+    is_ident, rule_num_vars, trim_span, Atom, DatalogParseError, EvalError, Output, Pred, Program,
+    Rule,
 };
+use crate::join;
 use fmt_structures::store::TupleStore;
 use fmt_structures::{ConstId, Elem, RelId, Signature, Span, Structure, StructureBuilder};
 use std::collections::{HashMap, VecDeque};
@@ -739,18 +741,11 @@ impl Rewriter<'_> {
     }
 
     fn adapt_rule(&mut self, rule: &Rule, head_idb: usize, mask: &[bool], guard: Option<usize>) {
-        // Bound variables start from the head's bound positions (the
-        // guard binds them) and grow along the static SIP order below.
-        let mut bound: Vec<u32> = Vec::new();
-        let bind = |bound: &mut Vec<u32>, v: u32| {
-            if !bound.contains(&v) {
-                bound.push(v);
-            }
-        };
+        // The head's bound positions are bound from the start (the guard
+        // binds them).
+        let mut pre_bound = vec![false; rule_num_vars(rule)];
         for (p, &b) in mask.iter().enumerate() {
-            if b {
-                bind(&mut bound, rule.head.args[p]);
-            }
+            pre_bound[rule.head.args[p] as usize] |= b;
         }
         let mut body: Vec<Atom> = Vec::new();
         if let Some(m) = guard {
@@ -767,59 +762,19 @@ impl Rewriter<'_> {
             });
         }
 
-        // Static SIP: mirror the join planner — negated atoms as soon
-        // as all their variables are bound, otherwise the most-bound
-        // (ties: earliest-written) positive atom next.
-        let mut remaining: Vec<usize> = (0..rule.body.len()).collect();
-        let mut order: Vec<usize> = Vec::new();
-        loop {
-            // Place every ready negated atom, in written order.
-            let mut placed = true;
-            while placed {
-                placed = false;
-                for (k, &i) in remaining.iter().enumerate() {
-                    let a = &rule.body[i];
-                    if a.negated && a.args.iter().all(|v| bound.contains(v)) {
-                        order.push(i);
-                        remaining.remove(k);
-                        placed = true;
-                        break;
-                    }
-                }
-            }
-            // Most-bound positive atom next (ties: earliest written).
-            let next = remaining
-                .iter()
-                .enumerate()
-                .filter(|&(_, &i)| !rule.body[i].negated)
-                .max_by_key(|&(_, &i)| {
-                    let a = &rule.body[i];
-                    let n = a.args.iter().filter(|v| bound.contains(v)).count();
-                    (n, std::cmp::Reverse(i))
-                });
-            let Some((k, &i)) = next else { break };
-            order.push(i);
-            remaining.remove(k);
-            for &v in &rule.body[i].args {
-                bind(&mut bound, v);
-            }
-        }
-        debug_assert!(
-            remaining.is_empty(),
-            "unsafe negation survived the original program's strata check"
-        );
-        order.extend(remaining); // defensive: keep arities consistent
-
-        // Walk the placement order, adorning IDB atoms against the
-        // bindings established *before* each one and emitting its
-        // demand rule from the prefix.
-        let mut bound: Vec<u32> = body.first().map(|g| g.args.clone()).unwrap_or_default();
-        for &i in &order {
-            let atom = &rule.body[i];
+        // Static SIP: the join planner's own order with no extents —
+        // most-bound positive atom next (ties: earliest written), each
+        // negated atom as soon as all its variables are bound. Walking
+        // it, each IDB atom is adorned against the bindings established
+        // *before* it (everything but the variables its step binds) and
+        // emits its demand rule from the prefix.
+        for step in join::plan(rule, None, &pre_bound, &|_| 0) {
+            let atom = &rule.body[step.atom];
             match atom.pred {
                 Pred::Edb(_) => body.push(atom.clone()),
                 Pred::Idb(o2) => {
-                    let mask2: Vec<bool> = atom.args.iter().map(|v| bound.contains(v)).collect();
+                    let mask2: Vec<bool> =
+                        atom.args.iter().map(|v| !step.fresh.contains(v)).collect();
                     let a2 = self.ensure(o2, mask2.clone());
                     if let Some(&m2) = self.magic.get(&(o2, mask2.clone())) {
                         let args: Vec<u32> = atom
@@ -843,11 +798,6 @@ impl Rewriter<'_> {
                         args: atom.args.clone(),
                         negated: atom.negated,
                     });
-                }
-            }
-            if !atom.negated {
-                for &v in &atom.args {
-                    bind(&mut bound, v);
                 }
             }
         }

@@ -379,7 +379,9 @@ mod tests {
         idx.extend(&st);
         for k in 0..6u32 {
             let probed: Vec<u32> = idx.probe(&st, &[k]).collect();
-            let scanned: Vec<u32> = (0..st.len32()).filter(|&id| st.value(id, 0) == k).collect();
+            let scanned: Vec<u32> = (0..st.rows32())
+                .filter(|&id| st.value(id, 0) == k)
+                .collect();
             assert_eq!(probed, scanned, "key [{k}]");
         }
     }

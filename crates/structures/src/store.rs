@@ -163,13 +163,6 @@ impl TupleStore {
         self.len
     }
 
-    /// Alias of [`TupleStore::rows32`], kept for the append-only
-    /// callers (the batch engines never tombstone, so for them arena
-    /// rows and live rows coincide).
-    pub fn len32(&self) -> u32 {
-        self.len
-    }
-
     /// Number of tombstoned rows awaiting [`TupleStore::compact`].
     pub fn tombstones(&self) -> usize {
         self.dead_count as usize

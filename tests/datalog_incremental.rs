@@ -221,10 +221,32 @@ fn rules_with_more_than_128_variables_roll_back_exactly() {
         rt.insert(e, &[u, v]);
     }
     rt.poll();
+    // Batch evaluation shares the runtime's join kernel, so the extent
+    // is also checked against walks of exactly LEN edges, computed
+    // without any join.
+    let walks = |facts: &BTreeSet<(u32, u32)>| -> Vec<Vec<Elem>> {
+        let mut succ = vec![Vec::new(); DOMAIN as usize];
+        for &(u, v) in facts {
+            succ[u as usize].push(v);
+        }
+        let mut pairs = Vec::new();
+        for a in 0..DOMAIN {
+            let mut ends = BTreeSet::from([a]);
+            for _ in 0..LEN {
+                ends = ends
+                    .iter()
+                    .flat_map(|&u| succ[u as usize].clone())
+                    .collect();
+            }
+            pairs.extend(ends.into_iter().map(|b| vec![a, b]));
+        }
+        pairs
+    };
     let check = |rt: &DatalogRuntime, facts: &BTreeSet<(u32, u32)>, when: &str| {
         let mut got: Vec<Vec<Elem>> = rt.query(0).iter().collect();
         got.sort();
         assert_eq!(got, scratch(&prog, DOMAIN, facts)[0], "after {when}");
+        assert_eq!(got, walks(facts), "after {when}");
     };
     check(&rt, &facts, "seeding");
     for (insert, edge) in [(true, (62, 63)), (false, (2, 3))] {
@@ -238,4 +260,82 @@ fn rules_with_more_than_128_variables_roll_back_exactly() {
         rt.poll();
         check(&rt, &facts, &format!("{edge:?}"));
     }
+}
+
+/// Probe keys wider than the kernel's 8-slot stack buffer spill to the
+/// heap. The runtime probes its columnar EDB on 9 bound positions here
+/// (`r` joined with itself on its first nine columns) and on all 10
+/// in the goal-directed rederivation check; maintenance under one
+/// insert and one retract must still equal batch evaluation.
+#[test]
+fn wide_atoms_probe_through_the_heap_spill() {
+    const DOMAIN: u32 = 6;
+    let sig = Signature::builder().relation("R", 10).finish_arc();
+    let xs: Vec<String> = (0..9).map(|i| format!("x{i}")).collect();
+    let prefix = xs.join(", ");
+    let src = format!(
+        "pair(y, z) :- r({prefix}, y), r({prefix}, z). \
+         reach(y, z) :- pair(y, z). reach(x, z) :- reach(x, y), pair(y, z)."
+    );
+    let prog = Program::parse(&sig, &src).unwrap();
+    let r = sig.relation("R").unwrap();
+    // Rows sharing a 9-column prefix pair up their last columns; three
+    // prefix groups chain the last values into longer reach paths.
+    let row = |group: u32, last: u32| -> Vec<Elem> {
+        let mut t: Vec<Elem> = (0..9).map(|i| (group + i) % DOMAIN).collect();
+        t.push(last);
+        t
+    };
+    let mut facts: BTreeSet<Vec<Elem>> = [(0, 0), (0, 1), (1, 1), (1, 2), (2, 3), (2, 4)]
+        .iter()
+        .map(|&(g, l)| row(g, l))
+        .collect();
+    let check = |rt: &DatalogRuntime, facts: &BTreeSet<Vec<Elem>>, when: &str| {
+        let mut b = StructureBuilder::new(sig.clone(), DOMAIN);
+        for t in facts {
+            b.add(r, t).unwrap();
+        }
+        let want = prog.eval_seminaive(&b.build().unwrap());
+        for i in 0..prog.num_idbs() {
+            assert_eq!(
+                rt.query(i),
+                want.relation(i),
+                "{} after {when}",
+                prog.idb_info(i).0
+            );
+        }
+    };
+    let mut rt = DatalogRuntime::new(prog.clone(), DOMAIN).expect("negation-free");
+    for t in &facts {
+        rt.insert(r, t);
+    }
+    rt.poll();
+    check(&rt, &facts, "seeding");
+    let reach = prog.idb("reach").unwrap();
+    assert!(
+        rt.query(reach).contains(&[0, 2]),
+        "the chain 0-1-2 is reachable"
+    );
+
+    for (insert, t) in [(true, row(2, 2)), (false, row(1, 1))] {
+        if insert {
+            facts.insert(t.clone());
+            rt.insert(r, &t);
+        } else {
+            facts.remove(&t);
+            rt.retract(r, &t);
+        }
+        let stats = rt.poll();
+        assert!(!stats.rebuilt, "maintained, not rebuilt");
+        check(
+            &rt,
+            &facts,
+            &format!("{} {t:?}", if insert { "insert" } else { "retract" }),
+        );
+    }
+    assert!(
+        rt.query(reach).contains(&[2, 4]),
+        "the insert joins groups 1 and 2"
+    );
+    assert!(!rt.query(reach).contains(&[0, 2]), "the retract cuts 0-1-2");
 }

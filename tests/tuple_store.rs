@@ -50,7 +50,7 @@ fn check_store_against_model(arity: usize, tuples: &[Vec<Elem>], store: &mut Tup
     }
     assert_eq!(store.len(), model.len());
     // Row ids address the arenas: every row reads back as a model tuple.
-    for row in 0..store.len32() {
+    for row in 0..store.rows32() {
         let t: Vec<Elem> = (0..arity).map(|c| store.value(row, c)).collect();
         assert!(model.contains(&t), "row {row} holds non-model tuple {t:?}");
     }
@@ -322,7 +322,7 @@ proptest! {
                 let key_vals: Vec<Elem> = key.iter().map(|&p| probe_tuple[p]).collect();
                 let mut got: Vec<u32> = idx.probe(&store, &key_vals).collect();
                 got.sort_unstable();
-                let want: Vec<u32> = (0..store.len32())
+                let want: Vec<u32> = (0..store.rows32())
                     .filter(|&row| {
                         key.iter()
                             .zip(key_vals.iter())
