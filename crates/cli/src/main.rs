@@ -720,7 +720,7 @@ fn explain_table(
     let mut probes = vec![0u64; n];
     let mut probe_allocs = vec![0u64; n];
     let mut arena_bytes = vec![0u64; n];
-    let mut micros = vec![0u64; n];
+    let mut nanos = vec![0u64; n];
     let mut rounds: Vec<BTreeSet<u64>> = vec![BTreeSet::new(); n];
     for ev in &trace.events {
         if ev.name != "datalog.rule" {
@@ -745,7 +745,7 @@ fn explain_table(
         probes[ri] += field("probes");
         probe_allocs[ri] += field("probe_allocs");
         arena_bytes[ri] += field("arena_bytes");
-        micros[ri] += ev.dur_us.unwrap_or(0);
+        nanos[ri] += ev.dur_ns.unwrap_or(0);
         if let Some(r) = ev
             .field("round")
             .and_then(fmt_core::obs::trace::FieldValue::as_u64)
@@ -763,7 +763,7 @@ fn explain_table(
             probe_allocs[ri].to_string(),
             arena_bytes[ri].to_string(),
             rounds[ri].len().to_string(),
-            micros[ri].to_string(),
+            (nanos[ri] / 1000).to_string(),
             label,
         ]);
     }

@@ -537,8 +537,9 @@ fn conform_replay_and_bad_oracle() {
 
 /// A budget-fault case that replays clean on a correct build: every
 /// engine either finishes or exhausts deterministically, and the
-/// finishers agree. Setting [`fmt_conform::oracle::INJECT_PANIC_ENV`]
-/// makes the budgeted runs panic, so the same case then *reproduces*.
+/// finishers agree. Setting [`fmt_conform::oracle::INJECT_ENV`] to
+/// `budget-fault` makes the budgeted runs panic, so the same case then
+/// *reproduces*.
 const BUDGET_FAULT_CASE: &str = "oracle: budget-fault\nseed: 0\ncase: 0\nnote: t\nrel: E/2\n\
      param: kind = formula\nparam: fuel = 3\n\
      structure A:\nsize: 2\nE(0,1)\nend\nformula: exists x. E(x, x)\n";
@@ -614,7 +615,7 @@ fn exit_code_2_when_replay_reproduces() {
     // With the fault injected, the replay reproduces: exit code 2.
     let out = fmtk()
         .args(["conform", "--replay", case.to_str().unwrap()])
-        .env(fmt_conform::oracle::INJECT_PANIC_ENV, "1")
+        .env(fmt_conform::oracle::INJECT_ENV, "budget-fault")
         .output()
         .unwrap();
     assert_eq!(out.status.code(), Some(2));
@@ -623,9 +624,9 @@ fn exit_code_2_when_replay_reproduces() {
 }
 
 /// Same exit-code contract for the magic oracle: a well-formed case
-/// replays clean (0) on a correct build and reproduces (2) under
-/// [`fmt_conform::oracle::INJECT_MAGIC_ENV`]; malformed case files stay
-/// ordinary errors (1, covered above).
+/// replays clean (0) on a correct build and reproduces (2) with
+/// [`fmt_conform::oracle::INJECT_ENV`] set to `magic`; malformed case
+/// files stay ordinary errors (1, covered above).
 #[test]
 fn exit_code_2_when_magic_replay_reproduces() {
     let case = write_temp(
@@ -647,7 +648,7 @@ fn exit_code_2_when_magic_replay_reproduces() {
     );
     let out = fmtk()
         .args(["conform", "--replay", case.to_str().unwrap()])
-        .env(fmt_conform::oracle::INJECT_MAGIC_ENV, "1")
+        .env(fmt_conform::oracle::INJECT_ENV, "magic")
         .output()
         .unwrap();
     assert_eq!(out.status.code(), Some(2));
@@ -659,7 +660,7 @@ fn exit_code_2_when_magic_replay_reproduces() {
 fn exit_code_2_when_hunt_finds_disagreements() {
     let out = fmtk()
         .args(["conform", "--oracle", "budget-fault", "--cases", "2"])
-        .env(fmt_conform::oracle::INJECT_PANIC_ENV, "1")
+        .env(fmt_conform::oracle::INJECT_ENV, "budget-fault")
         .output()
         .unwrap();
     assert_eq!(

@@ -43,6 +43,19 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 /// Shrink budget per counterexample (predicate evaluations).
 const SHRINK_BUDGET: usize = 2_000;
 
+/// Test-only fault-injection switch. Its value names the oracle to
+/// fault: under `budget-fault` every budgeted engine run panics instead
+/// of evaluating; under `incremental`, `stratified` or `magic` every
+/// check of that oracle reports a fabricated violation. It exists to
+/// prove each oracle's catch/shrink/write/replay plumbing (and the
+/// CLI's replay exit code) end to end, since correct engines never fail
+/// organically.
+pub const INJECT_ENV: &str = "FMT_CONFORM_INJECT";
+
+fn inject_armed(oracle: &str) -> bool {
+    std::env::var_os(INJECT_ENV).is_some_and(|v| v == oracle)
+}
+
 static OBS_EVAL: Counter = Counter::new("conform.oracle.eval_agreement");
 static OBS_PARSE: Counter = Counter::new("conform.oracle.parse_display");
 static OBS_SETS: Counter = Counter::new("conform.oracle.games_sets");
@@ -685,17 +698,6 @@ impl Oracle for LintClean {
 #[derive(Debug)]
 pub struct BudgetFault;
 
-/// Test-only fault-injection hook: when this environment variable is
-/// set, every engine run by the `budget-fault` oracle panics instead
-/// of evaluating. It exists to prove the oracle's shrink-and-serialize
-/// plumbing (and the CLI's replay exit code) end to end, since correct
-/// engines never fail organically.
-pub const INJECT_PANIC_ENV: &str = "FMT_CONFORM_INJECT_PANIC";
-
-fn inject_panic_armed() -> bool {
-    std::env::var_os(INJECT_PANIC_ENV).is_some()
-}
-
 /// One engine's outcome under a finite fuel budget.
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum FuelOutcome<T> {
@@ -710,8 +712,8 @@ enum FuelOutcome<T> {
 fn run_with_fuel<T>(fuel: u64, run: impl FnOnce(&Budget) -> BudgetResult<T>) -> FuelOutcome<T> {
     let budget = Budget::with_fuel(fuel);
     match catch_unwind(AssertUnwindSafe(|| {
-        if inject_panic_armed() {
-            panic!("injected budget fault ({INJECT_PANIC_ENV} is set)");
+        if inject_armed("budget-fault") {
+            panic!("injected budget fault ({INJECT_ENV}=budget-fault)");
         }
         run(&budget)
     })) {
@@ -943,17 +945,6 @@ impl Oracle for BudgetFault {
 #[derive(Debug)]
 pub struct Incremental;
 
-/// Test-only fault-injection hook, the `incremental` analog of
-/// [`INJECT_PANIC_ENV`]: when set, the trace check reports a fabricated
-/// divergence, which exercises the oracle's shrink-and-serialize path
-/// (and generated the committed `tests/corpus/incremental-*.case`
-/// files), since a correct runtime never diverges organically.
-pub const INJECT_INCR_ENV: &str = "FMT_CONFORM_INJECT_INCR";
-
-fn inject_incr_armed() -> bool {
-    std::env::var_os(INJECT_INCR_ENV).is_some()
-}
-
 /// The from-scratch reference: semi-naive evaluation over a structure
 /// holding exactly `facts`, as sorted tuple lists per IDB.
 fn incr_scratch(
@@ -988,9 +979,9 @@ fn incremental_violation(src: &str, trace: &gen::UpdateTrace, fuel: u64) -> Opti
         Err(e) => return Some(format!("program failed to parse: {e}")),
     };
     let e = sig.relation("E").expect("graph signature");
-    if inject_incr_armed() {
+    if inject_armed("incremental") {
         return Some(format!(
-            "injected incremental fault ({INJECT_INCR_ENV} is set)"
+            "injected incremental fault ({INJECT_ENV}=incremental)"
         ));
     }
 
@@ -1144,16 +1135,6 @@ impl Oracle for Incremental {
 #[derive(Debug)]
 pub struct Stratified;
 
-/// Test-only fault-injection hook: when set, every `stratified` oracle
-/// check reports a fabricated stratification bug, proving the
-/// catch/shrink/replay pipeline end to end (correct engines never fail
-/// organically).
-pub const INJECT_STRAT_ENV: &str = "FMT_CONFORM_INJECT_STRAT";
-
-fn inject_strat_armed() -> bool {
-    std::env::var_os(INJECT_STRAT_ENV).is_some()
-}
-
 /// `None` when the stratified-negation contract holds on `(s, src)`
 /// under `fuel`. `expect_defect` is the generator's own claim (a
 /// mutant was / was not seeded), cross-checked against the linter to
@@ -1164,9 +1145,9 @@ fn stratified_violation(
     fuel: u64,
     expect_defect: Option<bool>,
 ) -> Option<String> {
-    if inject_strat_armed() {
+    if inject_armed("stratified") {
         return Some(format!(
-            "injected stratification fault ({INJECT_STRAT_ENV} is set)"
+            "injected stratification fault ({INJECT_ENV}=stratified)"
         ));
     }
     let prog = match Program::parse(s.signature(), src) {
@@ -1361,23 +1342,11 @@ impl Oracle for Stratified {
 #[derive(Debug)]
 pub struct Magic;
 
-/// Test-only fault-injection hook: when set, every `magic` oracle
-/// check reports a fabricated rewrite bug, proving the
-/// catch/shrink/replay pipeline end to end (correct engines never fail
-/// organically).
-pub const INJECT_MAGIC_ENV: &str = "FMT_CONFORM_INJECT_MAGIC";
-
-fn inject_magic_armed() -> bool {
-    std::env::var_os(INJECT_MAGIC_ENV).is_some()
-}
-
 /// `None` when the goal-directed contract holds on `(s, src, goal)`
 /// under `fuel`.
 fn magic_violation(s: &Structure, src: &str, goal_src: &str, fuel: u64) -> Option<String> {
-    if inject_magic_armed() {
-        return Some(format!(
-            "injected magic-sets fault ({INJECT_MAGIC_ENV} is set)"
-        ));
+    if inject_armed("magic") {
+        return Some(format!("injected magic-sets fault ({INJECT_ENV}=magic)"));
     }
     let prog = match Program::parse(s.signature(), src) {
         Ok(p) => p,

@@ -107,8 +107,14 @@ pub fn try_duplicator_wins_parallel(
         span.record_field("win", false);
         return Ok(false);
     }
-    for outcome in outcomes {
-        outcome?;
+    // Several chunks can exhaust the shared budget at once; report the
+    // earliest exhaustion so the result does not depend on scheduling.
+    if let Some(e) = outcomes
+        .into_iter()
+        .filter_map(Result::err)
+        .min_by_key(|e| e.spent)
+    {
+        return Err(e);
     }
     span.record_field("win", true);
     Ok(true)

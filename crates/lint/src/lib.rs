@@ -704,18 +704,4 @@ mod tests {
         let p = Program::same_generation();
         assert!(lint_program(&p, &LintConfig::default()).is_empty());
     }
-
-    #[test]
-    fn metering_counts_inputs_and_diagnostics() {
-        fmt_obs::reset();
-        fmt_obs::enable();
-        let sig = Signature::graph();
-        lint_formula_src(&sig, "exists x. E(y, y)", &LintConfig::default());
-        lint_program_src(&sig, "p(x) :- e(x, x).", &LintConfig::default());
-        let snap = fmt_obs::snapshot();
-        fmt_obs::disable();
-        assert_eq!(snap.counter("lint.formulas"), Some(1));
-        assert_eq!(snap.counter("lint.programs"), Some(1));
-        assert_eq!(snap.counter("lint.diagnostics"), Some(1));
-    }
 }

@@ -73,7 +73,7 @@ pub fn enabled() -> bool {
 }
 
 /// Starts recording: clears the journal and drop counters, pins the
-/// trace epoch (timestamps are microseconds since this instant), and
+/// trace epoch (timestamps are nanoseconds since this instant), and
 /// enables span capture. Spans already open keep working as parents
 /// but were not themselves recorded.
 pub fn start() {
@@ -128,22 +128,22 @@ fn collect(epoch: Option<Instant>, drain: bool) -> Trace {
         };
         drop(guard);
         for rec in recs {
-            let ts_us = rec
+            let ts_ns = rec
                 .start
                 .checked_duration_since(epoch)
-                .map_or(0, |d| d.as_micros() as u64);
+                .map_or(0, |d| d.as_nanos() as u64);
             events.push(TraceEvent {
                 id: rec.id,
                 parent: rec.parent,
                 lane: rec.lane,
                 name: rec.name,
-                ts_us,
-                dur_us: rec.dur_us,
+                ts_ns,
+                dur_ns: rec.dur_ns,
                 fields: rec.fields,
             });
         }
     }
-    events.sort_by_key(|e| (e.ts_us, e.id));
+    events.sort_by_key(|e| (e.ts_ns, e.id));
     Trace {
         events,
         dropped: DROPPED.load(Ordering::SeqCst),
@@ -159,8 +159,9 @@ struct Rec {
     lane: u64,
     name: &'static str,
     start: Instant,
-    /// `Some(duration)` for spans, `None` for instant events.
-    dur_us: Option<u64>,
+    /// `Some(duration)` in nanoseconds for spans, `None` for instant
+    /// events.
+    dur_ns: Option<u64>,
     fields: Vec<(&'static str, FieldValue)>,
 }
 
@@ -305,7 +306,7 @@ impl SpanGuard {
 impl Drop for SpanGuard {
     fn drop(&mut self) {
         let Some(s) = self.inner.take() else { return };
-        let dur_us = s.start.elapsed().as_micros() as u64;
+        let dur_ns = s.start.elapsed().as_nanos() as u64;
         // Restore the parent even if recording stopped mid-span: the
         // thread-local stack must stay balanced.
         CURRENT.with(|c| c.set(s.parent));
@@ -316,7 +317,7 @@ impl Drop for SpanGuard {
                 lane: lane(),
                 name: s.name,
                 start: s.start,
-                dur_us: Some(dur_us),
+                dur_ns: Some(dur_ns),
                 fields: s.fields,
             });
         }
@@ -335,7 +336,7 @@ pub fn instant(name: &'static str, fields: Vec<(&'static str, FieldValue)>) {
         lane: lane(),
         name,
         start: Instant::now(),
-        dur_us: None,
+        dur_ns: None,
         fields,
     });
 }
@@ -369,8 +370,8 @@ pub fn with_parent<R>(parent: ParentHandle, f: impl FnOnce() -> R) -> R {
     f()
 }
 
-/// One recorded event: a completed span (`dur_us = Some(..)`) or an
-/// instant (`dur_us = None`).
+/// One recorded event: a completed span (`dur_ns = Some(..)`) or an
+/// instant (`dur_ns = None`).
 #[derive(Debug, Clone)]
 pub struct TraceEvent {
     /// Unique event id (process-global, never 0).
@@ -381,10 +382,10 @@ pub struct TraceEvent {
     pub lane: u64,
     /// Span name, e.g. `"datalog.round"`.
     pub name: &'static str,
-    /// Start time, microseconds since the trace epoch.
-    pub ts_us: u64,
-    /// Duration in microseconds for spans; `None` for instants.
-    pub dur_us: Option<u64>,
+    /// Start time, nanoseconds since the trace epoch.
+    pub ts_ns: u64,
+    /// Duration in nanoseconds for spans; `None` for instants.
+    pub dur_ns: Option<u64>,
     /// Key-value fields attached by the instrumentation site.
     pub fields: Vec<(&'static str, FieldValue)>,
 }
@@ -409,7 +410,8 @@ impl Trace {
     /// Renders the trace as Chrome trace-event JSON — load the file in
     /// [Perfetto](https://ui.perfetto.dev) or `chrome://tracing`.
     /// Spans become `ph:"X"` complete events, instants `ph:"i"`; span
-    /// fields plus `id`/`parent` ride in `args`.
+    /// fields plus `id`/`parent` ride in `args`. `ts` and `dur` are in
+    /// microseconds with three decimals, so nothing is lost to rounding.
     pub fn to_chrome_json(&self) -> String {
         let mut out = String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
         for (i, e) in self.events.iter().enumerate() {
@@ -420,11 +422,11 @@ impl Trace {
                 out,
                 "{{\"name\":\"{}\",\"ph\":\"{}\",\"ts\":{},",
                 json_escape(e.name),
-                if e.dur_us.is_some() { 'X' } else { 'i' },
-                e.ts_us,
+                if e.dur_ns.is_some() { 'X' } else { 'i' },
+                Micros(e.ts_ns),
             );
-            if let Some(d) = e.dur_us {
-                let _ = write!(out, "\"dur\":{d},");
+            if let Some(d) = e.dur_ns {
+                let _ = write!(out, "\"dur\":{},", Micros(d));
             } else {
                 out.push_str("\"s\":\"t\",");
             }
@@ -450,7 +452,7 @@ impl Trace {
     }
 
     /// Renders the trace as folded-stack text (`root;child;leaf 123`
-    /// per line, values = self-time in µs), the input format of
+    /// per line, values = self-time in whole µs), the input format of
     /// `flamegraph.pl` and speedscope. Instants are skipped; a span's
     /// self-time is its duration minus its direct children's durations,
     /// clamped at zero because parallel children can overlap and sum
@@ -459,17 +461,17 @@ impl Trace {
         let spans: BTreeMap<u64, &TraceEvent> = self
             .events
             .iter()
-            .filter(|e| e.dur_us.is_some())
+            .filter(|e| e.dur_ns.is_some())
             .map(|e| (e.id, e))
             .collect();
         let mut child_time: BTreeMap<u64, u64> = BTreeMap::new();
         for e in spans.values() {
-            *child_time.entry(e.parent).or_default() += e.dur_us.unwrap_or(0);
+            *child_time.entry(e.parent).or_default() += e.dur_ns.unwrap_or(0);
         }
         let mut folded: BTreeMap<String, u64> = BTreeMap::new();
         for e in spans.values() {
-            let self_us = e
-                .dur_us
+            let self_ns = e
+                .dur_ns
                 .unwrap_or(0)
                 .saturating_sub(child_time.get(&e.id).copied().unwrap_or(0));
             // Root-to-leaf path. Parent ids are always smaller than
@@ -481,13 +483,22 @@ impl Trace {
                 at = p.parent;
             }
             path.reverse();
-            *folded.entry(path.join(";")).or_default() += self_us;
+            *folded.entry(path.join(";")).or_default() += self_ns;
         }
         let mut out = String::new();
-        for (path, us) in folded {
-            let _ = writeln!(out, "{path} {us}");
+        for (path, ns) in folded {
+            let _ = writeln!(out, "{path} {}", ns / 1000);
         }
         out
+    }
+}
+
+/// Nanoseconds rendered as microseconds with three decimals.
+struct Micros(u64);
+
+impl std::fmt::Display for Micros {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{}.{:03}", self.0 / 1000, self.0 % 1000)
     }
 }
 
@@ -559,14 +570,14 @@ mod tests {
         assert_eq!(outer.parent, 0);
         assert_eq!(inner.parent, outer.id);
         assert_eq!(tick.parent, outer.id);
-        assert!(inner.dur_us.is_some() && tick.dur_us.is_none());
+        assert!(inner.dur_ns.is_some() && tick.dur_ns.is_none());
         assert_eq!(outer.field("size"), Some(&FieldValue::U64(4)));
         assert_eq!(
             inner.field("label"),
             Some(&FieldValue::Str("abc".to_string()))
         );
         // Spans close inner-first, but timestamps sort outer-first.
-        assert!(outer.ts_us <= inner.ts_us);
+        assert!(outer.ts_ns <= inner.ts_ns);
     }
 
     #[test]
@@ -660,7 +671,7 @@ mod tests {
             .find(|e| e.get("name").unwrap().as_str() == Some("phase"))
             .unwrap();
         assert_eq!(span.get("ph").unwrap().as_str(), Some("X"));
-        assert!(span.get("dur").unwrap().as_u64().is_some());
+        assert!(span.get("dur").unwrap().as_f64().is_some());
         assert_eq!(
             span.get("args").unwrap().get("engine").unwrap().as_str(),
             Some("indexed")
@@ -673,6 +684,12 @@ mod tests {
     }
 
     #[test]
+    fn chrome_times_are_microseconds_with_three_decimals() {
+        assert_eq!(Micros(1_234_567).to_string(), "1234.567");
+        assert_eq!(Micros(42).to_string(), "0.042");
+    }
+
+    #[test]
     fn folded_export_computes_self_time() {
         // Built by hand so durations are exact.
         let ev = |id, parent, name: &'static str, dur| TraceEvent {
@@ -680,8 +697,8 @@ mod tests {
             parent,
             lane: 0,
             name,
-            ts_us: id,
-            dur_us: Some(dur),
+            ts_ns: id,
+            dur_ns: Some(dur * 1000u64),
             fields: Vec::new(),
         };
         let trace = Trace {

@@ -1,19 +1,13 @@
 #!/usr/bin/env bash
-# Performance harness: runs the Datalog join-engine comparison (which
-# writes BENCH_datalog.json at the repo root and enforces the ≥5×
-# tuple-comparison gate) plus the criterion smoke benches for the
-# Datalog and EF-game engines.
+# Performance harness: one datalog_bench run measures every Datalog
+# layer, writes BENCH_datalog.json at the repo root and checks every
+# Datalog gate; then the criterion smoke benches for the Datalog and
+# EF-game engines.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "==> datalog join-engine harness (writes BENCH_datalog.json)"
+echo "==> datalog harness and gates (writes BENCH_datalog.json)"
 cargo run --release -p fmt-bench --bin datalog_bench
-
-echo "==> incremental maintenance harness (appends to BENCH_datalog.json)"
-cargo run --release -p fmt-bench --bin datalog_incr_bench
-
-echo "==> magic-sets point-query harness (appends to BENCH_datalog.json)"
-cargo run --release -p fmt-bench --bin magic_bench
 
 echo "==> criterion bench: datalog"
 cargo bench -p fmt-bench --bench datalog

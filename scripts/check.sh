@@ -107,32 +107,21 @@ echo "==> magic-sets goal-directed sweep (fixed seed, 240 cases)"
 cargo run --release -q -p fmt-cli --bin fmtk -- \
     conform --oracle magic --seed 19 --cases 240
 
-echo "==> budget overhead gate (unlimited budget within 5% of tc_path_512 baseline)"
-retry_gate "budget overhead" cargo run --release -q -p fmt-bench --bin budget_overhead
-
-echo "==> throughput gate (columnar engine >=5x tuples/sec over pre-columnar baseline)"
-retry_gate "throughput" cargo run --release -q -p fmt-bench --bin throughput_gate
-
-echo "==> incremental gate (maintained update >=5x faster than from-scratch on tc_path_512)"
-retry_gate "incremental" cargo run --release -q -p fmt-bench --bin incr_gate
-
-echo "==> magic gate (point query derives >=5x fewer tuples than full materialization)"
-# The derivation ratio is deterministic (the engines count derived
-# tuples), so one run is authoritative — no respawn loop needed.
-cargo run --release -q -p fmt-bench --bin magic_gate
-
-echo "==> trace gate (chrome trace parses, >=90% wall-time attribution, tracing-off within 5%)"
-TRACE_DIR=target/trace-gate
-mkdir -p "$TRACE_DIR"
+echo "==> datalog gates (scan-comparison ratio, throughput, overhead, incremental, magic pruning, trace attribution)"
+cargo build --release -q -p fmt-bench --bin datalog_bench
+BENCH_DIR=target/bench-check
+mkdir -p "$BENCH_DIR"
 {
     echo "size: 512"
     for ((i = 0; i < 511; i++)); do echo "E($i,$((i + 1)))"; done
-} > "$TRACE_DIR/tc_path_512.st"
-printf 't(x,y) :- e(x,y).\nt(x,z) :- t(x,y), e(y,z).\n' > "$TRACE_DIR/tc.dl"
-"$FMTK" --trace "$TRACE_DIR/tc_path_512.trace.json" \
-    datalog "$TRACE_DIR/tc_path_512.st" "$TRACE_DIR/tc.dl" > /dev/null
-retry_gate "trace" cargo run --release -q -p fmt-bench --bin trace_gate -- \
-    "$TRACE_DIR/tc_path_512.trace.json"
+} > "$BENCH_DIR/tc_path_512.st"
+printf 't(x,y) :- e(x,y).\nt(x,z) :- t(x,y), e(y,z).\n' > "$BENCH_DIR/tc.dl"
+"$FMTK" --trace "$BENCH_DIR/tc_path_512.trace.json" \
+    datalog "$BENCH_DIR/tc_path_512.st" "$BENCH_DIR/tc.dl" > /dev/null
+# Runs in $BENCH_DIR, so the BENCH_datalog.json it writes never touches
+# the committed one.
+datalog_gates() { (cd "$BENCH_DIR" && ../release/datalog_bench tc_path_512.trace.json); }
+retry_gate "datalog" datalog_gates
 
 if [[ "${RUN_BENCH:-0}" == "1" ]]; then
     echo "==> benches (RUN_BENCH=1)"

@@ -121,7 +121,7 @@ fn budget_exhaustion_leaves_an_instant_event() {
         .iter()
         .find(|e| e.name == "budget.exhausted")
         .expect("exhaustion instant journaled");
-    assert!(ev.dur_us.is_none(), "instants have no duration");
+    assert!(ev.dur_ns.is_none(), "instants have no duration");
     assert_eq!(ev.field("resource").and_then(|v| v.as_str()), Some("fuel"));
 }
 
