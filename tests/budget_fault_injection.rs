@@ -1,77 +1,27 @@
-//! Seeded regression test for the budget fault-injection plumbing: an
-//! injected panic inside the budgeted engine runs must be *caught* by
-//! the `budget-fault` oracle, *shrunk*, *written* to a corpus
-//! directory, and the written case must replay — reproducing while the
-//! fault is armed, clean once it is cured.
+//! Seeded regression test for the budget fault-injection plumbing
+//! (`FMT_CONFORM_INJECT=budget-fault`): an injected panic inside the
+//! budgeted engine runs must be caught, shrunk, written and replayable
+//! (see `tests/injection/mod.rs`), and a corpus that cannot be written
+//! must surface as a structured error.
 //!
-//! This test owns the [`fmt_conform::oracle::INJECT_PANIC_ENV`]
-//! process environment variable for its whole body; keep this file to a
-//! single test so no concurrently running test observes the armed
-//! fault.
+//! This test owns the [`INJECT_ENV`] process environment variable for
+//! its whole body; keep this file to a single test.
 
-use fmt_conform::oracle::INJECT_PANIC_ENV;
-use fmt_conform::{ReproCase, RunConfig, RunError};
-use std::path::PathBuf;
+mod injection;
 
-fn scratch_path(tag: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("fmt-{tag}-{}", std::process::id()))
-}
+use fmt_conform::oracle::INJECT_ENV;
+use fmt_conform::{RunConfig, RunError};
 
 #[test]
 fn injected_panic_is_caught_shrunk_written_and_replayable() {
-    let corpus = scratch_path("budget-fault-corpus");
-    let _ = std::fs::remove_dir_all(&corpus);
-    std::env::set_var(INJECT_PANIC_ENV, "1");
+    injection::check_injection("budget-fault", 7);
 
-    // With the fault armed, every budgeted engine run panics, so the
-    // very first hunted case must fail — through catch_unwind, not by
-    // taking the harness down.
-    let report = fmt_conform::run(&RunConfig {
-        seed: 7,
-        cases: 2,
-        oracle: Some("budget-fault".to_owned()),
-        corpus_dir: Some(corpus.clone()),
-        ..RunConfig::default()
-    })
-    .expect("the hunt itself must survive injected engine panics");
-    assert!(!report.clean(), "armed fault must be caught as a failure");
-    assert_eq!(
-        report.written.len(),
-        2,
-        "every caught failure must be written to the corpus"
-    );
-
-    for path in &report.written {
-        let text = std::fs::read_to_string(path).unwrap();
-        let case = ReproCase::from_text(&text).expect("written cases parse back");
-        assert_eq!(case.oracle, "budget-fault");
-        assert!(case.note.contains("panicked"), "note: {}", case.note);
-        // The shrinker ran: an unconditional fault reproduces on the
-        // smallest inputs the guards allow, so the recorded structure
-        // and fuel must be minimal.
-        let s = case.structure("A").unwrap();
-        assert_eq!(s.size(), 0, "unconditional fault must shrink to size 0");
-        assert_eq!(case.param_u64("fuel").unwrap(), 1, "fuel must shrink to 1");
-        // Still armed: the written case reproduces.
-        fmt_conform::runner::replay_text(&text).expect_err("armed fault must reproduce on replay");
-    }
-
-    // Cure the fault: the same files now replay clean — exactly what
-    // `tests/conform_corpus.rs` asserts for the committed corpus.
-    std::env::remove_var(INJECT_PANIC_ENV);
-    for path in &report.written {
-        let text = std::fs::read_to_string(path).unwrap();
-        fmt_conform::runner::replay_text(&text)
-            .unwrap_or_else(|e| panic!("{}: cured case must replay clean: {e}", path.display()));
-    }
-    let _ = std::fs::remove_dir_all(&corpus);
-
-    // Finally, the runner reports corpus-write problems as a structured
+    // The runner reports corpus-write problems as a structured
     // `RunError::Other` — not a panic, not a silent drop. Point the
     // corpus at a plain file and force a write by re-arming the fault.
-    let file_not_dir = scratch_path("not-a-dir");
+    let file_not_dir = injection::scratch_path("not-a-dir");
     std::fs::write(&file_not_dir, b"occupied").unwrap();
-    std::env::set_var(INJECT_PANIC_ENV, "1");
+    std::env::set_var(INJECT_ENV, "budget-fault");
     let err = fmt_conform::run(&RunConfig {
         seed: 7,
         cases: 1,
@@ -79,7 +29,7 @@ fn injected_panic_is_caught_shrunk_written_and_replayable() {
         corpus_dir: Some(file_not_dir.clone()),
         ..RunConfig::default()
     });
-    std::env::remove_var(INJECT_PANIC_ENV);
+    std::env::remove_var(INJECT_ENV);
     match err {
         Err(RunError::Other(msg)) => assert!(msg.contains("writing"), "{msg}"),
         other => panic!("expected a corpus-write error, got {other:?}"),

@@ -1,72 +1,14 @@
 //! Seeded regression test for the incremental oracle's fault-injection
-//! plumbing: an injected divergence must be *caught* by the
-//! `incremental` oracle, *shrunk* (trace to just its final poll, fuel
-//! to 1), *written* to a corpus directory, and the written case must
-//! replay — reproducing while the fault is armed, clean once cured.
+//! plumbing (`FMT_CONFORM_INJECT=incremental`): an injected maintenance
+//! divergence must be caught, shrunk (the trace to empty, fuel to 1),
+//! written and replayable — see `tests/injection/mod.rs`.
 //!
-//! This test owns the [`fmt_conform::oracle::INJECT_INCR_ENV`] process
-//! environment variable for its whole body; keep this file to a single
-//! test so no concurrently running test observes the armed fault.
+//! This test owns the `FMT_CONFORM_INJECT` process environment variable
+//! for its whole body; keep this file to a single test.
 
-use fmt_conform::gen::UpdateTrace;
-use fmt_conform::oracle::INJECT_INCR_ENV;
-use fmt_conform::{ReproCase, RunConfig};
-use std::path::PathBuf;
-
-fn scratch_path(tag: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("fmt-{tag}-{}", std::process::id()))
-}
+mod injection;
 
 #[test]
 fn injected_divergence_is_caught_shrunk_written_and_replayable() {
-    let corpus = scratch_path("incremental-corpus");
-    let _ = std::fs::remove_dir_all(&corpus);
-    std::env::set_var(INJECT_INCR_ENV, "1");
-
-    // With the fault armed every trace replay "diverges", so each
-    // hunted case must fail and be serialized.
-    let report = fmt_conform::run(&RunConfig {
-        seed: 11,
-        cases: 2,
-        oracle: Some("incremental".to_owned()),
-        corpus_dir: Some(corpus.clone()),
-        ..RunConfig::default()
-    })
-    .expect("the hunt itself must survive an injected divergence");
-    assert!(!report.clean(), "armed fault must be caught as a failure");
-    assert_eq!(
-        report.written.len(),
-        2,
-        "every caught failure must be written to the corpus"
-    );
-
-    for path in &report.written {
-        let text = std::fs::read_to_string(path).unwrap();
-        let case = ReproCase::from_text(&text).expect("written cases parse back");
-        assert_eq!(case.oracle, "incremental");
-        assert!(case.note.contains("injected"), "note: {}", case.note);
-        // The shrinker ran: an unconditional fault reproduces on the
-        // smallest inputs the guards allow, so the recorded trace and
-        // fuel must be minimal.
-        let domain = case.param_u64("domain").unwrap() as u32;
-        let trace = UpdateTrace::parse_compact(domain, case.param("trace").unwrap()).unwrap();
-        assert!(
-            trace.ops.is_empty(),
-            "unconditional fault must shrink the trace empty, got {:?}",
-            trace.ops
-        );
-        assert_eq!(case.param_u64("fuel").unwrap(), 1, "fuel must shrink to 1");
-        // Still armed: the written case reproduces.
-        fmt_conform::runner::replay_text(&text).expect_err("armed fault must reproduce on replay");
-    }
-
-    // Cure the fault: the same files now replay clean — exactly what
-    // `tests/conform_corpus.rs` asserts for the committed corpus.
-    std::env::remove_var(INJECT_INCR_ENV);
-    for path in &report.written {
-        let text = std::fs::read_to_string(path).unwrap();
-        fmt_conform::runner::replay_text(&text)
-            .unwrap_or_else(|e| panic!("{}: cured case must replay clean: {e}", path.display()));
-    }
-    let _ = std::fs::remove_dir_all(&corpus);
+    injection::check_injection("incremental", 11);
 }
