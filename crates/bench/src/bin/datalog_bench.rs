@@ -10,6 +10,8 @@
 //! - throughput on `tc_path_512` / `sg_tree_9` against the pinned
 //!   pre-columnar engine, and the tracing-off, unlimited-budget
 //!   overhead on `tc_path_512` against its pinned baseline;
+//! - the same two rows at 1 / 2 / 4 / 8 worker threads (recorded, not
+//!   gated);
 //! - a maintained single-edge update on `tc_path_512` against
 //!   from-scratch recomputation;
 //! - magic-sets point goals on `tc_path_512` against full
@@ -60,6 +62,9 @@ const BATCH: usize = 5;
 
 /// Batches [`best_secs`] runs before it gives up on a target.
 const MAX_BATCHES: usize = 8;
+
+/// Worker counts timed for the thread-scaling figures of gated rows.
+const THREADS: [usize; 4] = [1, 2, 4, 8];
 
 /// Path length of the incremental, magic and trace workloads.
 const NODES: u32 = 512;
@@ -252,6 +257,9 @@ struct Row {
     /// modeled comparison count.
     scan: Result<(f64, u64), u64>,
     phase_ns: [u64; 5],
+    /// Min-of-[`BATCH`] secs per worker count of [`THREADS`] (gated
+    /// rows only).
+    threads: Vec<(usize, f64)>,
 }
 
 impl Row {
@@ -300,6 +308,7 @@ fn measure(w: &Workload) -> Row {
         compared: count_work(|| prog.eval_seminaive(&s), INDEXED_KEYS),
         scan: Err((w.model)(edges, &indexed.delta_history)),
         phase_ns: phase_ns(&traced(&prog, &s)),
+        threads: Vec::new(),
     };
     // A gated row stops timing once it is inside every timing bound;
     // an ungated one is the minimum of one batch.
@@ -310,6 +319,17 @@ fn measure(w: &Workload) -> Row {
     (row.secs, row.runs) = best_secs(target, || {
         let _ = prog.eval_seminaive(&s);
     });
+    if row.baseline().is_some() {
+        row.threads = THREADS
+            .iter()
+            .map(|&t| {
+                let secs = min_secs(BATCH, || {
+                    let _ = prog.eval_seminaive_with(&s, t);
+                });
+                (t, secs)
+            })
+            .collect();
+    }
 
     if w.run_scan {
         let mut scan = None;
@@ -342,6 +362,9 @@ fn measure(w: &Workload) -> Row {
         row.scan_compared(),
         row.comparison_ratio()
     );
+    for (t, secs) in &row.threads {
+        println!("{:12} threads={t} {secs:.6}s", row.key());
+    }
     row
 }
 
@@ -591,11 +614,16 @@ fn document(r: &Report) -> String {
             let sep = if j == 0 { "" } else { "," };
             let _ = write!(out, "{sep}\"{phase}_us\":{:.3}", ns as f64 / 1e3);
         }
-        out.push_str(if i + 1 == r.rows.len() {
-            "}}\n"
-        } else {
-            "}},\n"
-        });
+        out.push('}');
+        if !row.threads.is_empty() {
+            out.push_str(",\"threads\":{");
+            for (j, (t, secs)) in row.threads.iter().enumerate() {
+                let sep = if j == 0 { "" } else { "," };
+                let _ = write!(out, "{sep}\"{t}\":{secs:.6}");
+            }
+            out.push('}');
+        }
+        out.push_str(if i + 1 == r.rows.len() { "}\n" } else { "},\n" });
     }
     let tc = r.tc_path();
     let (baseline, overhead) = r.overhead();
@@ -704,6 +732,7 @@ mod tests {
             compared: 10,
             scan: Err(1000),
             phase_ns: [1, 2, 3, 4, 5],
+            threads: Vec::new(),
         }
     }
 
@@ -711,7 +740,10 @@ mod tests {
     fn document_has_every_block_and_parses() {
         let report = Report {
             rows: vec![
-                row("tc_path", 512, 0.02),
+                Row {
+                    threads: vec![(1, 0.02), (2, 0.015), (4, 0.0125), (8, 0.013)],
+                    ..row("tc_path", 512, 0.02)
+                },
                 Row {
                     scan: Ok((0.5, 2000)),
                     ..row("sg_tree", 4, 0.001)
@@ -746,6 +778,15 @@ mod tests {
         assert_eq!(rows.len(), 2);
         let phases = rows[0].get("phases").unwrap();
         assert_eq!(phases.get("merge_us").and_then(Json::as_f64), Some(0.005));
+        let threads = rows[0].get("threads").expect("gated rows scale threads");
+        for (t, secs) in [("1", 0.02), ("2", 0.015), ("4", 0.0125), ("8", 0.013)] {
+            assert_eq!(
+                threads.get(t).and_then(Json::as_f64),
+                Some(secs),
+                "threads {t}"
+            );
+        }
+        assert!(rows[1].get("threads").is_none());
         let num = |block: &str, key: &str| doc.get(block).unwrap().get(key).unwrap().as_f64();
         assert_eq!(num("budget_overhead", "baseline_secs"), Some(0.024165));
         assert_eq!(num("incremental", "speedup"), Some(20.0));

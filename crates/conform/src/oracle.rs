@@ -35,7 +35,7 @@ use fmt_obs::Counter;
 use fmt_queries::datalog::{EvalError, Program};
 use fmt_queries::magic::{self, MagicError};
 use fmt_structures::budget::{Budget, BudgetResult};
-use fmt_structures::{builders, parse as sparse, Elem, Structure};
+use fmt_structures::{builders, parse as sparse, Elem, Structure, StructureBuilder};
 use rand::rngs::StdRng;
 use rand::RngExt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -953,7 +953,7 @@ fn incr_scratch(
     facts: &std::collections::BTreeSet<(u32, u32)>,
 ) -> Vec<Vec<Vec<Elem>>> {
     let e = prog.signature().relation("E").expect("graph signature");
-    let mut b = fmt_structures::StructureBuilder::new(prog.signature().clone(), domain);
+    let mut b = StructureBuilder::new(prog.signature().clone(), domain);
     for &(u, v) in facts {
         b.add(e, &[u, v]).expect("trace ops are in domain");
     }
@@ -1339,6 +1339,10 @@ impl Oracle for Stratified {
 /// full materialization of the original program, deterministically
 /// under random fuel. Rewrites the engines reject (`Original` /
 /// `Unstratifiable`) are cross-checked against direct evaluation.
+/// Those engines run on the prepared structure, which shares the
+/// input's relations and so the EDB indexes earlier runs cached on
+/// them; `magic.cold` repeats the indexed run on a rebuilt copy with
+/// no cached index, so warm and cold indexes answer alike.
 #[derive(Debug)]
 pub struct Magic;
 
@@ -1403,6 +1407,7 @@ fn magic_violation(s: &Structure, src: &str, goal_src: &str, fuel: u64) -> Optio
     // Every engine configuration on the rewritten program must answer
     // the goal identically to the ground truth.
     let es = mq.prepare(s);
+    let cold = cold_copy(&es);
     let rprog = &mq.program;
     type Run<'a> = Box<dyn Fn() -> Result<fmt_queries::datalog::Output, EvalError> + 'a>;
     let engines: Vec<(&str, Run<'_>)> = vec![
@@ -1421,6 +1426,10 @@ fn magic_violation(s: &Structure, src: &str, goal_src: &str, fuel: u64) -> Optio
         (
             "magic.indexed(3)",
             Box::new(|| rprog.try_eval_seminaive_with(&es, 3, &unlimited)),
+        ),
+        (
+            "magic.cold",
+            Box::new(|| rprog.try_eval_seminaive_with(&cold, 1, &unlimited)),
         ),
     ];
     for (name, run) in &engines {
@@ -1485,6 +1494,23 @@ fn magic_violation(s: &Structure, src: &str, goal_src: &str, fuel: u64) -> Optio
         return Some(format!("magic.indexed(3) panicked under fuel {fuel}"));
     }
     None
+}
+
+/// `s` rebuilt tuple by tuple through [`StructureBuilder`]: equal to
+/// `s`, but sharing none of its relations and with no index cached.
+fn cold_copy(s: &Structure) -> Structure {
+    let sig = s.signature();
+    let mut b = StructureBuilder::new(sig.clone(), s.size());
+    for (r, _, _) in sig.relations() {
+        for t in s.rel(r).iter() {
+            b.add(r, t)
+                .expect("a built structure's tuples are in range");
+        }
+    }
+    for (c, _) in sig.constants() {
+        b.set_constant(c, s.constant(c));
+    }
+    b.build().expect("a built structure rebuilds")
 }
 
 impl Oracle for Magic {

@@ -48,8 +48,9 @@ use fmt_structures::budget::{Budget, BudgetResult, Exhausted};
 use fmt_structures::index::{ColumnIndex, TupleIndex};
 use fmt_structures::par::fan_out;
 use fmt_structures::store::TupleStore;
-use fmt_structures::{Elem, Interner, RelId, Signature, Span, Structure};
+use fmt_structures::{Elem, Interner, RelId, Relation, Signature, Span, Structure};
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 /// Budget tick site label shared by all three Datalog engines.
 const AT: &str = "queries.datalog";
@@ -740,7 +741,7 @@ impl Program {
             fmt_obs::trace_span!("datalog.eval", engine = "naive", rules = self.rules.len());
         let k = self.idb_names.len();
         let mut store = self.new_store();
-        let mut edb = EdbCache::default();
+        let mut edb = EdbCache::new(s);
         let mut iterations = 0;
         let mut derivations = 0u64;
         let mut delta_history = Vec::new();
@@ -758,9 +759,17 @@ impl Program {
                     let mut rule_span =
                         fmt_obs::trace_span!("datalog.rule", rule = ri, round = iterations);
                     let mut plan = join::plan(rule, None, &[], &|a| extent_len(s, &store, a));
-                    ensure_plan_indexes(&mut plan, rule, s, &mut edb, &mut store);
-                    let ctx =
-                        ExecCtx::new(rule, &plan, Edb::Sorted(s, &edb), &store, &[], s.size(), AT);
+                    ensure_plan_indexes(&mut plan, rule, &mut edb, &mut store);
+                    let views = edb.views();
+                    let ctx = ExecCtx::new(
+                        rule,
+                        &plan,
+                        Edb::Sorted(&edb.rels, &views),
+                        &store,
+                        &[],
+                        s.size(),
+                        AT,
+                    );
                     let mut rule_derived = 0u64;
                     let store_ref = &store;
                     ctx.run(budget, &mut |idb, t| {
@@ -859,7 +868,7 @@ impl Program {
             threads = threads
         );
         let mut store = self.new_store();
-        let mut edb = EdbCache::default();
+        let mut edb = EdbCache::new(s);
         let mut derivations = 0u64;
         let mut delta_history: Vec<u64> = Vec::new();
         let mut iterations = 0usize;
@@ -892,9 +901,17 @@ impl Program {
                 let mut rule_span =
                     fmt_obs::trace_span!("datalog.rule", rule = ri, round = iterations + 1);
                 let mut plan = join::plan(rule, None, &[], &|a| extent_len(s, &store, a));
-                ensure_plan_indexes(&mut plan, rule, s, &mut edb, &mut store);
-                let ctx =
-                    ExecCtx::new(rule, &plan, Edb::Sorted(s, &edb), &store, &[], s.size(), AT);
+                ensure_plan_indexes(&mut plan, rule, &mut edb, &mut store);
+                let views = edb.views();
+                let ctx = ExecCtx::new(
+                    rule,
+                    &plan,
+                    Edb::Sorted(&edb.rels, &views),
+                    &store,
+                    &[],
+                    s.size(),
+                    AT,
+                );
                 let mut rule_derived = 0u64;
                 let staged0: usize = bufs.iter().map(Vec::len).sum();
                 ctx.run(budget, &mut |idb, t| {
@@ -967,7 +984,7 @@ impl Program {
                                     let mut plan = join::plan(rule, Some(pos), &[], &|a| {
                                         extent_len(s, &store, a)
                                     });
-                                    ensure_plan_indexes(&mut plan, rule, s, &mut edb, &mut store);
+                                    ensure_plan_indexes(&mut plan, rule, &mut edb, &mut store);
                                     plans.push(plan);
                                     plan_of.insert((ri, pos), plans.len() - 1);
                                     plans.len() - 1
@@ -1026,7 +1043,8 @@ impl Program {
                 let join_span = fmt_obs::trace_span!("datalog.join", jobs = jobs.len());
                 let store_ref = &store;
                 let plans_ref = &plans;
-                let sorted = Edb::Sorted(s, &edb);
+                let views = edb.views();
+                let sorted = Edb::Sorted(&edb.rels, &views);
                 let results = fan_out(threads, &items, |chunk| -> BudgetResult<_> {
                     let mut derivs = 0u64;
                     let mut bufs: Vec<Vec<Elem>> = vec![Vec::new(); k];
@@ -1459,33 +1477,46 @@ impl IdbStore {
     }
 }
 
-/// Lazily-built hash indexes over the (immutable) EDB relations,
-/// cached for a whole evaluation. A `Vec` with linear lookup: the
-/// cache holds a handful of entries and `get` sits on the probe hot
-/// path, where a `HashMap` keyed by `(usize, Vec<usize>)` would
-/// allocate a key per call.
-#[derive(Debug, Default)]
-pub(crate) struct EdbCache {
-    cache: Vec<((usize, Vec<usize>), TupleIndex)>,
+/// The EDB of one batch evaluation: the input's relations, and handles
+/// to the hash indexes its plans probe. Each relation builds an index
+/// once and caches it ([`fmt_structures::Relation::index`]), so goal
+/// after goal on one input builds none again. Plans address an index
+/// by its slot here ([`Access::ProbeIndex`]). The kernel reads both
+/// through plain references ([`Edb::Sorted`]), so its probes
+/// dereference no `Arc`.
+#[derive(Debug)]
+struct EdbCache<'s> {
+    /// `s.rel(r)` for every relation, indexed by `RelId.0`.
+    rels: Vec<&'s Relation>,
+    slots: Vec<(RelId, Arc<TupleIndex>)>,
 }
 
-impl EdbCache {
-    fn ensure(&mut self, s: &Structure, r: RelId, key: &[usize]) {
-        if self.cache.iter().any(|((i, k), _)| *i == r.0 && k == key) {
-            return;
+impl<'s> EdbCache<'s> {
+    fn new(s: &'s Structure) -> EdbCache<'s> {
+        EdbCache {
+            rels: (0..s.signature().num_relations())
+                .map(|r| s.rel(RelId(r)))
+                .collect(),
+            slots: Vec::new(),
         }
-        let rel = s.rel(r);
-        let idx = TupleIndex::build(rel.arity(), key, rel.iter());
-        self.cache.push(((r.0, key.to_vec()), idx));
     }
 
-    pub(crate) fn get(&self, r: RelId, key: &[usize]) -> &TupleIndex {
-        &self
-            .cache
+    /// The slot of `r`'s index on `key`, fetched on first use.
+    fn slot(&mut self, r: RelId, key: &[usize]) -> usize {
+        if let Some(i) = self
+            .slots
             .iter()
-            .find(|((i, k), _)| *i == r.0 && k == key)
-            .expect("index was built by ensure_plan_indexes")
-            .1
+            .position(|(q, idx)| *q == r && idx.key() == key)
+        {
+            return i;
+        }
+        self.slots.push((r, self.rels[r.0].index(key)));
+        self.slots.len() - 1
+    }
+
+    /// The slots as plain references, taken once per rule application.
+    fn views(&self) -> Vec<&TupleIndex> {
+        self.slots.iter().map(|(_, idx)| &**idx).collect()
     }
 }
 
@@ -1516,12 +1547,12 @@ fn extent_len(s: &Structure, store: &[IdbStore], atom: &Atom) -> usize {
 /// Builds every index a plan will probe, so execution can share the
 /// caches immutably (and across worker threads). A probe on the bound
 /// prefix `0..k` of an EDB atom needs no index at all — the relation's
-/// rows are sorted — so it becomes an [`Access::ProbePrefix`].
+/// rows are sorted — so it becomes an [`Access::ProbePrefix`]; any
+/// other EDB probe becomes an [`Access::ProbeIndex`] into `edb`.
 fn ensure_plan_indexes(
     plan: &mut [Step],
     rule: &Rule,
-    s: &Structure,
-    edb: &mut EdbCache,
+    edb: &mut EdbCache<'_>,
     store: &mut [IdbStore],
 ) {
     for step in plan {
@@ -1532,7 +1563,7 @@ fn ensure_plan_indexes(
             Pred::Edb(_) if key.iter().enumerate().all(|(i, &p)| i == p) => {
                 step.access = Access::ProbePrefix(key.len());
             }
-            Pred::Edb(r) => edb.ensure(s, r, key),
+            Pred::Edb(r) => step.access = Access::ProbeIndex(edb.slot(r, key)),
             Pred::Idb(j) => store[j].ensure_index(key),
         }
     }
@@ -2007,7 +2038,7 @@ mod tests {
         for step in &plan[1..] {
             assert_eq!(step.access, Access::Probe(vec![0]));
         }
-        ensure_plan_indexes(&mut plan, rule, &s, &mut EdbCache::default(), &mut store);
+        ensure_plan_indexes(&mut plan, rule, &mut EdbCache::new(&s), &mut store);
         for step in &plan[1..] {
             assert_eq!(
                 step.access,

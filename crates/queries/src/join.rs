@@ -13,11 +13,11 @@
 //! The only representation difference between the callers is the EDB
 //! ([`Edb`]); IDB extents are columnar [`IdbStore`]s everywhere.
 
-use crate::datalog::{rule_num_vars, Atom, EdbCache, IdbStore, Pred, Rule};
+use crate::datalog::{rule_num_vars, Atom, IdbStore, Pred, Rule};
 use fmt_structures::budget::{Budget, BudgetResult};
-use fmt_structures::index;
+use fmt_structures::index::{self, TupleIndex};
 use fmt_structures::store;
-use fmt_structures::{Elem, RelId, Relation, Structure};
+use fmt_structures::{Elem, Relation};
 use std::cell::Cell;
 
 /// How one body atom is accessed by the join kernel.
@@ -34,6 +34,11 @@ pub(crate) enum Access {
     /// [`plan`]; the batch engine rewrites its probes to this where it
     /// builds the plan's indexes.
     ProbePrefix(usize),
+    /// Any other [`Access::Probe`] of a sorted EDB relation: a probe of
+    /// the hash index in the given slot of the evaluation's EDB index
+    /// table ([`Edb::Sorted`]). Rewritten by the batch engine like
+    /// [`Access::ProbePrefix`].
+    ProbeIndex(usize),
     /// Anti-join check for a negated atom: every argument is bound, so
     /// the fully-instantiated tuple is tested for *absence* from the
     /// completed lower-stratum extent — no index build needed.
@@ -151,9 +156,10 @@ pub(crate) fn plan(
 /// [`exec`].
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Edb<'a> {
-    /// Batch evaluation: the input structure's sorted relations, plus
-    /// hash indexes for probes on non-prefix key positions.
-    Sorted(&'a Structure, &'a EdbCache),
+    /// Batch evaluation: the input structure's sorted relations
+    /// (indexed by `RelId.0`), plus the hash indexes of the plans'
+    /// [`Access::ProbeIndex`] slots.
+    Sorted(&'a [&'a Relation], &'a [&'a TupleIndex]),
     /// The incremental runtime: one columnar, tombstoned extent per
     /// relation (indexed by `RelId.0`), probed through its
     /// `ColumnIndex`es exactly like an IDB.
@@ -163,7 +169,7 @@ pub(crate) enum Edb<'a> {
 /// The extent one body atom reads, resolved through [`Edb`].
 enum Extent<'a> {
     Columnar(&'a IdbStore),
-    Sorted(&'a Relation, &'a EdbCache, RelId),
+    Sorted(&'a Relation, &'a [&'a TupleIndex]),
 }
 
 /// Everything the join kernel needs for one rule application. Each
@@ -238,7 +244,7 @@ impl<'a> ExecCtx<'a> {
         match (pred, self.edb) {
             (Pred::Idb(j), _) => Extent::Columnar(&self.idb[j]),
             (Pred::Edb(r), Edb::Columnar(edb)) => Extent::Columnar(&edb[r.0]),
-            (Pred::Edb(r), Edb::Sorted(s, cache)) => Extent::Sorted(s.rel(r), cache, r),
+            (Pred::Edb(r), Edb::Sorted(rels, indexes)) => Extent::Sorted(rels[r.0], indexes),
         }
     }
 }
@@ -404,7 +410,7 @@ pub(crate) fn exec(
             let t = fill_slice(ctx, n, (0..n).map(bound), &mut stack, &mut heap);
             let present = match extent {
                 Extent::Columnar(ext) => ext.store.contains(t),
-                Extent::Sorted(rel, _, _) => index::probe_prefix(rel, t).next().is_some(),
+                Extent::Sorted(rel, _) => index::probe_prefix(rel, t).next().is_some(),
             };
             if !present {
                 return exec(ctx, step_i + 1, binding, budget, emit);
@@ -443,7 +449,7 @@ pub(crate) fn exec(
                 }
             }
         }
-        (Access::Scan, Extent::Sorted(rel, _, _)) => {
+        (Access::Scan, Extent::Sorted(rel, _)) => {
             index::note_scan(rel.len() as u64);
             for t in rel.iter() {
                 if !try_candidate(ctx, step_i, |p| t[p], binding, budget, emit)? {
@@ -451,7 +457,7 @@ pub(crate) fn exec(
                 }
             }
         }
-        (Access::ProbePrefix(k), Extent::Sorted(rel, _, _)) => {
+        (Access::ProbePrefix(k), Extent::Sorted(rel, _)) => {
             let prefix = fill_slice(ctx, *k, (0..*k).map(bound), &mut stack, &mut heap);
             for t in index::probe_prefix(rel, prefix) {
                 if !try_candidate(ctx, step_i, |p| t[p], binding, budget, emit)? {
@@ -459,7 +465,9 @@ pub(crate) fn exec(
                 }
             }
         }
-        (Access::Probe(key), Extent::Sorted(_, cache, r)) => {
+        (Access::ProbeIndex(slot), Extent::Sorted(_, indexes)) => {
+            let idx = indexes[*slot];
+            let key = idx.key();
             let kv = fill_slice(
                 ctx,
                 key.len(),
@@ -467,7 +475,7 @@ pub(crate) fn exec(
                 &mut stack,
                 &mut heap,
             );
-            for t in cache.get(r, key).probe(kv) {
+            for t in idx.probe(kv) {
                 if !try_candidate(ctx, step_i, |p| t[p], binding, budget, emit)? {
                     return Ok(false);
                 }
@@ -476,8 +484,11 @@ pub(crate) fn exec(
         (Access::ScanDelta, Extent::Sorted(..)) => {
             unreachable!("batch delta drivers are IDB atoms")
         }
-        (Access::ProbePrefix(_), Extent::Columnar(_)) => {
-            unreachable!("prefix probes are planned for sorted EDB relations only")
+        (Access::Probe(_), Extent::Sorted(..)) => {
+            unreachable!("batch EDB probes are rewritten to prefix or slot probes")
+        }
+        (Access::ProbePrefix(_) | Access::ProbeIndex(_), Extent::Columnar(_)) => {
+            unreachable!("prefix and slot probes are planned for sorted EDB relations only")
         }
     }
     Ok(true)

@@ -43,7 +43,7 @@ use crate::datalog::{
 };
 use crate::join;
 use fmt_structures::store::TupleStore;
-use fmt_structures::{ConstId, Elem, RelId, Signature, Span, Structure, StructureBuilder};
+use fmt_structures::{ConstId, Elem, RelId, Signature, Span, Structure};
 use std::collections::{HashMap, VecDeque};
 
 /// One argument of a query goal.
@@ -585,27 +585,26 @@ impl MagicQuery {
 
     /// The structure to evaluate [`Self::program`] on: the input
     /// extended with the one-tuple seed relation holding the goal's
-    /// bound constants. The seed stays empty when a numeric constant
-    /// lies outside the domain — the query then derives nothing, which
-    /// is exactly its answer set. Transparent queries return the input
+    /// bound constants. The input's relations, and the indexes cached
+    /// on them, are shared with the result, not copied
+    /// ([`Structure::extend`]), so the cost does not grow with the
+    /// input. The seed stays empty when a numeric constant lies
+    /// outside the domain — the query then derives nothing, which is
+    /// exactly its answer set. Transparent queries return the input
     /// unchanged.
+    ///
+    /// # Panics
+    /// Panics if `s` is not over the signature the goal's program was
+    /// rewritten from.
     pub fn prepare(&self, s: &Structure) -> Structure {
-        let Some(seed) = self.seed else {
+        if self.seed.is_none() {
             return s.clone();
-        };
-        let mut b = StructureBuilder::new(self.program.signature().clone(), s.size());
-        for (r, _, _) in s.signature().relations() {
-            for row in s.rel(r).iter() {
-                b.add(r, row).expect("copied tuple is in range");
-            }
         }
-        for (c, _) in s.signature().constants() {
-            b.set_constant(c, s.constant(c));
-        }
-        if let Some(tuple) = self.seed_tuple(s) {
-            b.add(seed, &tuple).expect("seed constants are in range");
-        }
-        b.build().expect("extended structure is well-formed")
+        let seed = self.seed_tuple(s).unwrap_or_default();
+        s.extend(self.program.signature().clone(), vec![seed])
+            .unwrap_or_else(|e| {
+                panic!("prepare: {e}: the structure is not over the goal program's signature")
+            })
     }
 
     /// The seed tuple (bound constants in position order), or `None`
@@ -815,7 +814,7 @@ impl Rewriter<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fmt_structures::builders;
+    use fmt_structures::{builders, StructureBuilder};
 
     fn tc_with_goal(goal: &str) -> (Program, Goal) {
         let sig = Signature::graph();
@@ -939,6 +938,14 @@ mod tests {
         assert!(mq.answers(&s, &out).is_empty());
         let full = prog.eval_seminaive(&s);
         assert!(mq.filter(&s, full.relation(0)).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "structures are over different signatures")]
+    fn prepare_on_a_mismatched_structure_names_the_mismatch() {
+        let (prog, goal) = tc_with_goal("tc(1, y)?");
+        let mq = rewrite(&prog, &goal).unwrap();
+        let _ = mq.prepare(&builders::linear_order(4));
     }
 
     #[test]

@@ -126,6 +126,14 @@ impl Signature {
             .map(|(i, c)| (ConstId(i), c.as_str()))
     }
 
+    /// `true` if this signature declares `base`'s relations (same
+    /// names, arities and order) before any of its own, and exactly
+    /// `base`'s constants — the signatures [`crate::Structure::extend`]
+    /// accepts.
+    pub fn extends(&self, base: &Signature) -> bool {
+        self.rels.starts_with(&base.rels) && self.consts == base.consts
+    }
+
     /// Maximum arity over all relation symbols (0 for the empty signature).
     pub fn max_arity(&self) -> usize {
         self.rels.iter().map(|r| r.arity).max().unwrap_or(0)

@@ -1,8 +1,9 @@
 //! Finite relational structures with sorted tuple stores.
 
+use crate::index::TupleIndex;
 use crate::{ConstId, RelId, Signature, StructureError};
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// A domain element. Domains are always `{0, 1, …, n−1}`.
 pub type Elem = u32;
@@ -14,11 +15,56 @@ pub type Elem = u32;
 /// Sorted flat storage gives cache-friendly iteration and `O(log m)`
 /// membership without a per-tuple allocation; for the binary relations on
 /// which graph algorithms run, [`Structure`] additionally maintains
-/// forward and backward adjacency indexes.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+/// forward and backward adjacency indexes. Hash indexes on other key
+/// positions are built on demand by [`Relation::index`] and cached with
+/// the relation.
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Relation {
     arity: usize,
     rows: Vec<Elem>,
+    /// Derived from `rows`, so equality, hashing and serde ignore it.
+    #[serde(skip, default)]
+    indexes: IndexCache,
+}
+
+impl PartialEq for Relation {
+    fn eq(&self, other: &Self) -> bool {
+        self.arity == other.arity && self.rows == other.rows
+    }
+}
+
+impl Eq for Relation {}
+
+impl std::hash::Hash for Relation {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self.arity.hash(state);
+        self.rows.hash(state);
+    }
+}
+
+/// The hash indexes [`Relation::index`] has built, at most one per key.
+#[derive(Default)]
+struct IndexCache(Mutex<Vec<Arc<TupleIndex>>>);
+
+impl IndexCache {
+    fn lock(&self) -> std::sync::MutexGuard<'_, Vec<Arc<TupleIndex>>> {
+        // A panic mid-build never pushes, so a poisoned cache is intact.
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+impl Clone for IndexCache {
+    fn clone(&self) -> Self {
+        IndexCache(Mutex::new(self.lock().clone()))
+    }
+}
+
+impl std::fmt::Debug for IndexCache {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list()
+            .entries(self.lock().iter().map(|idx| idx.key()))
+            .finish()
+    }
 }
 
 impl Relation {
@@ -45,7 +91,27 @@ impl Relation {
         }
         flat = sorted;
         flat.shrink_to_fit();
-        Relation { arity, rows: flat }
+        Relation {
+            arity,
+            rows: flat,
+            indexes: IndexCache::default(),
+        }
+    }
+
+    /// The hash index keyed by the positions in `key`, built on first
+    /// use and cached with the relation: later evaluations on this
+    /// relation, and on every structure sharing it (clones, and
+    /// [`Structure::extend`]), reuse it. The build runs under the
+    /// cache's lock; lookups after it only take the lock to clone the
+    /// handle.
+    pub fn index(&self, key: &[usize]) -> Arc<TupleIndex> {
+        let mut cache = self.indexes.lock();
+        if let Some(idx) = cache.iter().find(|idx| idx.key() == key) {
+            return Arc::clone(idx);
+        }
+        let idx = Arc::new(TupleIndex::build(self.arity, key, self.iter()));
+        cache.push(Arc::clone(&idx));
+        idx
     }
 
     /// The arity of the relation.
@@ -182,16 +248,19 @@ impl Csr {
 /// An immutable finite relational structure (a database instance).
 ///
 /// Built with [`StructureBuilder`]; the domain is `{0, …, size−1}`.
+/// Relations and their adjacency indexes are shared, not owned: a clone
+/// costs one reference count per relation, and [`Structure::extend`]
+/// adds relations without copying the existing ones.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Structure {
     sig: Arc<Signature>,
     size: u32,
-    rels: Vec<Relation>,
+    rels: Vec<Arc<Relation>>,
     consts: Vec<Elem>,
     /// Forward/backward adjacency, indexed like `rels`, present only for
     /// binary relations.
     #[serde(skip, default)]
-    adj: Vec<Option<(Csr, Csr)>>,
+    adj: Vec<Option<Arc<(Csr, Csr)>>>,
 }
 
 impl PartialEq for Structure {
@@ -260,7 +329,7 @@ impl Structure {
     /// Panics if `r` is not binary.
     pub fn out_neighbors(&self, r: RelId, u: Elem) -> &[Elem] {
         let (fwd, _) = self.adj[r.0]
-            .as_ref()
+            .as_deref()
             .expect("out_neighbors requires a binary relation");
         fwd.neighbors(u)
     }
@@ -271,7 +340,7 @@ impl Structure {
     /// Panics if `r` is not binary.
     pub fn in_neighbors(&self, r: RelId, u: Elem) -> &[Elem] {
         let (_, bwd) = self.adj[r.0]
-            .as_ref()
+            .as_deref()
             .expect("in_neighbors requires a binary relation");
         bwd.neighbors(u)
     }
@@ -288,7 +357,55 @@ impl Structure {
 
     /// Total number of tuples across all relations.
     pub fn num_tuples(&self) -> usize {
-        self.rels.iter().map(Relation::len).sum()
+        self.rels.iter().map(|r| r.len()).sum()
+    }
+
+    /// This structure over `sig`, which appends `extra.len()` relations
+    /// to this structure's signature; `extra[i]` holds the flat rows
+    /// (tuples laid end to end) of the `i`-th appended relation. The
+    /// existing relations, with their adjacency and cached indexes, are
+    /// shared rather than copied, so the cost is that of the appended
+    /// relations alone.
+    ///
+    /// # Errors
+    /// [`StructureError::SignatureMismatch`] unless `sig` declares this
+    /// structure's relations (same names, order and arities) and
+    /// constants, then exactly `extra.len()` more relations;
+    /// [`StructureError::ArityMismatch`] if an appended relation's rows
+    /// leave a partial tuple (`got` is its length);
+    /// [`StructureError::ElementOutOfRange`] for an element outside the
+    /// domain.
+    pub fn extend(
+        &self,
+        sig: Arc<Signature>,
+        extra: Vec<Vec<Elem>>,
+    ) -> Result<Structure, StructureError> {
+        if !sig.extends(&self.sig) || sig.num_relations() != self.rels.len() + extra.len() {
+            return Err(StructureError::SignatureMismatch);
+        }
+        let mut out = self.clone();
+        for (i, flat) in extra.into_iter().enumerate() {
+            let r = RelId(self.rels.len() + i);
+            let arity = sig.arity(r);
+            if flat.len() % arity != 0 {
+                return Err(StructureError::ArityMismatch {
+                    relation: sig.relation_name(r).to_owned(),
+                    expected: arity,
+                    got: flat.len() % arity,
+                });
+            }
+            if let Some(&elem) = flat.iter().find(|&&e| e >= self.size) {
+                return Err(StructureError::ElementOutOfRange {
+                    elem,
+                    size: self.size,
+                });
+            }
+            let rel = Relation::from_rows(arity, flat);
+            out.adj.push(build_adj(self.size, &rel));
+            out.rels.push(Arc::new(rel));
+        }
+        out.sig = sig;
+        Ok(out)
     }
 
     /// Disjoint union `A ⊎ B`: the elements of `B` are shifted up by
@@ -398,22 +515,17 @@ impl Structure {
     /// Rebuilds the adjacency indexes. Needed after deserialization
     /// (indexes are not serialized).
     pub fn reindex(&mut self) {
-        self.adj = build_adj(self.size, &self.rels);
+        self.adj = self.rels.iter().map(|r| build_adj(self.size, r)).collect();
     }
 }
 
-fn build_adj(size: u32, rels: &[Relation]) -> Vec<Option<(Csr, Csr)>> {
-    rels.iter()
-        .map(|rel| {
-            if rel.arity() == 2 {
-                let fwd = Csr::build(size, rel.iter().map(|t| (t[0], t[1])));
-                let bwd = Csr::build(size, rel.iter().map(|t| (t[1], t[0])));
-                Some((fwd, bwd))
-            } else {
-                None
-            }
-        })
-        .collect()
+/// Forward/backward adjacency of a binary relation; `None` otherwise.
+fn build_adj(size: u32, rel: &Relation) -> Option<Arc<(Csr, Csr)>> {
+    (rel.arity() == 2).then(|| {
+        let fwd = Csr::build(size, rel.iter().map(|t| (t[0], t[1])));
+        let bwd = Csr::build(size, rel.iter().map(|t| (t[1], t[0])));
+        Arc::new((fwd, bwd))
+    })
 }
 
 /// Incremental construction of a [`Structure`].
@@ -524,13 +636,13 @@ impl StructureBuilder {
     }
 
     pub(crate) fn build_unchecked(self) -> Structure {
-        let rels: Vec<Relation> = self
+        let rels: Vec<Arc<Relation>> = self
             .flat
             .into_iter()
             .enumerate()
-            .map(|(i, flat)| Relation::from_rows(self.sig.arity(RelId(i)), flat))
+            .map(|(i, flat)| Arc::new(Relation::from_rows(self.sig.arity(RelId(i)), flat)))
             .collect();
-        let adj = build_adj(self.size, &rels);
+        let adj = rels.iter().map(|r| build_adj(self.size, r)).collect();
         Structure {
             sig: self.sig,
             size: self.size,
@@ -644,6 +756,149 @@ mod tests {
         assert!(t.holds(e, &[0, 1]));
         let inv = [1, 2, 0];
         assert_eq!(t.relabel(&inv), s);
+    }
+
+    /// `graph(…)`'s signature with a unary `P` appended.
+    fn graph_plus_p() -> Arc<Signature> {
+        Signature::builder()
+            .relation("E", 2)
+            .relation("P", 1)
+            .finish_arc()
+    }
+
+    #[test]
+    fn extend_shares_existing_relations() {
+        let s = graph(4, &[(0, 1), (1, 2), (2, 3)]);
+        let e = s.signature().relation("E").unwrap();
+        let warm = s.rel(e).index(&[1]);
+        let t = s.extend(graph_plus_p(), vec![vec![2, 0, 2]]).unwrap();
+        let p = t.signature().relation("P").unwrap();
+        assert!(std::ptr::eq(t.rel(e), s.rel(e)));
+        assert!(Arc::ptr_eq(&t.rel(e).index(&[1]), &warm));
+        assert_eq!(t.out_neighbors(e, 1), &[2]);
+        let rows: Vec<&[Elem]> = t.rel(p).iter().collect();
+        assert_eq!(
+            rows,
+            vec![&[0][..], &[2][..]],
+            "appended rows sorted and deduplicated"
+        );
+        // Appended binary relations get adjacency like built ones.
+        let sig = Signature::builder()
+            .relation("E", 2)
+            .relation("F", 2)
+            .finish_arc();
+        let t = s.extend(sig, vec![vec![3, 0]]).unwrap();
+        let f = t.signature().relation("F").unwrap();
+        assert_eq!(t.in_neighbors(f, 0), &[3]);
+        assert_eq!(s.extend(s.signature().clone(), Vec::new()).unwrap(), s);
+    }
+
+    #[test]
+    fn extend_rejects_signatures_that_do_not_extend() {
+        let s = graph(3, &[(0, 1)]);
+        let not_extending = [
+            // Wrong arity, renamed, and reordered base relations.
+            Signature::builder().relation("E", 3).finish_arc(),
+            Signature::builder().relation("F", 2).finish_arc(),
+            Signature::builder()
+                .relation("P", 1)
+                .relation("E", 2)
+                .finish_arc(),
+            // A constant the base does not declare.
+            Signature::builder()
+                .relation("E", 2)
+                .relation("P", 1)
+                .constant("c")
+                .finish_arc(),
+        ];
+        for sig in not_extending {
+            assert_eq!(
+                s.extend(sig.clone(), vec![Vec::new()]),
+                Err(StructureError::SignatureMismatch),
+                "{sig:?}"
+            );
+        }
+        // More or fewer appended relations than `extra` interprets.
+        assert_eq!(
+            s.extend(graph_plus_p(), Vec::new()),
+            Err(StructureError::SignatureMismatch)
+        );
+        assert_eq!(
+            s.extend(graph_plus_p(), vec![Vec::new(), Vec::new()]),
+            Err(StructureError::SignatureMismatch)
+        );
+    }
+
+    #[test]
+    fn extend_rejects_malformed_tuples() {
+        let s = graph(3, &[(0, 1)]);
+        assert_eq!(
+            s.extend(graph_plus_p(), vec![vec![1, 3]]),
+            Err(StructureError::ElementOutOfRange { elem: 3, size: 3 })
+        );
+        let sig = Signature::builder()
+            .relation("E", 2)
+            .relation("F", 2)
+            .finish_arc();
+        assert!(matches!(
+            s.extend(sig, vec![vec![0, 1, 2]]),
+            Err(StructureError::ArityMismatch {
+                expected: 2,
+                got: 1,
+                ..
+            })
+        ));
+    }
+
+    fn hash_of(s: &Structure) -> u64 {
+        use std::hash::{Hash, Hasher};
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        s.hash(&mut h);
+        h.finish()
+    }
+
+    #[test]
+    fn cached_indexes_do_not_affect_eq_or_hash() {
+        let edges = [(0, 1), (1, 2), (2, 0), (2, 1)];
+        let (warm, cold) = (graph(3, &edges), graph(3, &edges));
+        let e = warm.signature().relation("E").unwrap();
+        let idx = warm.rel(e).index(&[1]);
+        assert_eq!(idx.probe(&[1]).count(), 2);
+        assert!(Arc::ptr_eq(&idx, &warm.rel(e).index(&[1])), "built once");
+        assert_eq!(warm, cold);
+        assert_eq!(warm.rel(e), cold.rel(e));
+        assert_eq!(hash_of(&warm), hash_of(&cold));
+    }
+
+    #[test]
+    fn serde_roundtrip_plus_reindex_is_equal() {
+        let s = graph(3, &[(0, 1), (1, 2)]);
+        let e = s.signature().relation("E").unwrap();
+        let _ = s.rel(e).index(&[1]);
+        // The value deserialization yields: serialized fields intact,
+        // `#[serde(skip)]` ones (adjacency, index caches) defaulted.
+        let mut t = Structure {
+            sig: s.sig.clone(),
+            size: s.size,
+            rels: s
+                .rels
+                .iter()
+                .map(|r| {
+                    Arc::new(Relation {
+                        arity: r.arity,
+                        rows: r.rows.clone(),
+                        indexes: IndexCache::default(),
+                    })
+                })
+                .collect(),
+            consts: s.consts.clone(),
+            adj: Vec::new(),
+        };
+        t.reindex();
+        assert_eq!(t, s);
+        assert_eq!(hash_of(&t), hash_of(&s));
+        assert_eq!(t.out_neighbors(e, 0), s.out_neighbors(e, 0));
+        assert_eq!(t.in_neighbors(e, 2), s.in_neighbors(e, 2));
     }
 
     #[test]

@@ -133,9 +133,11 @@ fn snapshot_reset_roundtrip_is_deterministic() {
     fmt_obs::enable();
     fmt_obs::reset();
 
-    let s = builders::directed_path(5);
+    // Each run gets a freshly built input: a second run on the first
+    // one's structure would find its EDB index cached and build none.
+    let s = || builders::directed_path(5);
     let prog = Program::transitive_closure();
-    let _ = prog.eval_seminaive(&s);
+    let _ = prog.eval_seminaive(&s());
     let first = fmt_obs::snapshot();
 
     fmt_obs::reset();
@@ -143,7 +145,7 @@ fn snapshot_reset_roundtrip_is_deterministic() {
     assert!(zeroed.rows().iter().all(|r| r[1] == "0"));
 
     // The same run after a reset reports the same numbers.
-    let _ = prog.eval_seminaive(&s);
+    let _ = prog.eval_seminaive(&s());
     let second = fmt_obs::snapshot();
     assert_eq!(first.rows(), second.rows());
     assert_eq!(first.to_json(), second.to_json());
