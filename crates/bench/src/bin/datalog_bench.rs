@@ -22,8 +22,9 @@
 //! one write, then exits 1 naming every gate that missed. Gates compare
 //! against the pinned [`BASELINES`], never against a figure this
 //! harness writes. Per-process layout (ASLR, heap placement) moves
-//! hot-loop timings by a few percent, so `scripts/check.sh` respawns
-//! the binary on a miss; a real regression misses every spawn.
+//! hot-loop timings by a few percent, so on a miss the binary
+//! re-executes itself with the same arguments, up to [`ATTEMPTS`]
+//! processes in all; a real regression misses in every one.
 //!
 //! The scan engine's tuple-visit count is measured directly where
 //! feasible. SG at depth 9 would scan ≈ |e|²·Σ|Δ| ≈ 3.6 × 10¹¹ tuples,
@@ -37,6 +38,7 @@ use fmt_queries::datalog::{Output, Program};
 use fmt_queries::incremental::DatalogRuntime;
 use fmt_queries::magic;
 use fmt_structures::{builders, Structure};
+use std::collections::HashSet;
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -56,6 +58,12 @@ const MAX_OVERHEAD: f64 = 0.05;
 const MIN_INCR_SPEEDUP: f64 = 5.0;
 const MIN_PRUNING: f64 = 5.0;
 const MIN_ATTRIBUTION: f64 = 0.9;
+
+/// Processes one gate check may take, counting the first.
+const ATTEMPTS: u32 = 5;
+
+/// Environment variable carrying the attempt number to a respawn.
+const ATTEMPT_ENV: &str = "DATALOG_BENCH_ATTEMPT";
 
 /// Timed calls per batch; the minimum filters out scheduler noise.
 const BATCH: usize = 5;
@@ -142,14 +150,23 @@ fn traced(prog: &Program, s: &Structure) -> Trace {
     fmt_obs::trace::stop()
 }
 
-/// Nanoseconds spent in each of the [`PHASES`] spans of `trace`.
+/// Nanoseconds spent in each of the [`PHASES`] spans of `trace`. The
+/// round runner opens its `join` / `dedup` / `merge` spans inside
+/// `datalog.init` too; those are init time, so they are not counted
+/// again and the phases partition `datalog.eval`.
 fn phase_ns(trace: &Trace) -> [u64; 5] {
+    let init: HashSet<u64> = trace
+        .events
+        .iter()
+        .filter(|e| e.name == "datalog.init")
+        .map(|e| e.id)
+        .collect();
     PHASES.map(|phase| {
         let name = format!("datalog.{phase}");
         trace
             .events
             .iter()
-            .filter(|e| e.name == name)
+            .filter(|e| e.name == name && !init.contains(&e.parent))
             .filter_map(|e| e.dur_ns)
             .sum()
     })
@@ -709,9 +726,33 @@ fn main() {
     println!("wrote BENCH_datalog.json");
     if !missed.is_empty() {
         eprintln!("datalog_bench: gates missed: {}", missed.join(", "));
-        std::process::exit(1);
+        respawn();
     }
     println!("all datalog gates passed");
+}
+
+/// After a missed gate: re-executes this binary with the same
+/// arguments and exits with its status, unless this process is already
+/// attempt [`ATTEMPTS`], which exits 1.
+fn respawn() -> ! {
+    let attempt: u32 = std::env::var(ATTEMPT_ENV)
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(1);
+    if attempt >= ATTEMPTS {
+        eprintln!("datalog_bench: gates missed in all {ATTEMPTS} attempts");
+        std::process::exit(1);
+    }
+    println!(
+        "  (attempt {attempt} of {ATTEMPTS} hit an unlucky layout or noisy window; respawning)"
+    );
+    let exe = std::env::current_exe().expect("locate the datalog_bench binary");
+    let status = std::process::Command::new(exe)
+        .args(std::env::args_os().skip(1))
+        .env(ATTEMPT_ENV, (attempt + 1).to_string())
+        .status()
+        .expect("respawn datalog_bench");
+    std::process::exit(status.code().unwrap_or(1));
 }
 
 #[cfg(test)]
@@ -799,6 +840,37 @@ mod tests {
             .as_arr()
             .unwrap()[0];
         assert_eq!(goal.get("pruning").and_then(Json::as_f64), Some(62.89));
+    }
+
+    /// The phases partition `datalog.eval`: the runner's `join` /
+    /// `dedup` / `merge` spans inside `datalog.init` count as init only.
+    #[test]
+    fn phases_count_each_span_once() {
+        let span = |id, parent, name, dur| fmt_obs::trace::TraceEvent {
+            id,
+            parent,
+            lane: 1,
+            name,
+            ts_ns: 0,
+            dur_ns: Some(dur),
+            fields: Vec::new(),
+        };
+        let trace = Trace {
+            events: vec![
+                span(1, 0, "datalog.eval", 100),
+                span(2, 1, "datalog.init", 30),
+                span(3, 2, "datalog.join", 20),
+                span(4, 2, "datalog.dedup", 5),
+                span(5, 2, "datalog.merge", 5),
+                span(6, 1, "datalog.round", 60),
+                span(7, 6, "datalog.plan", 10),
+                span(8, 6, "datalog.join", 30),
+                span(9, 6, "datalog.dedup", 10),
+                span(10, 6, "datalog.merge", 8),
+            ],
+            dropped: 0,
+        };
+        assert_eq!(phase_ns(&trace), [30, 10, 30, 10, 8]);
     }
 
     #[test]

@@ -614,7 +614,7 @@ fn run_incremental(
                 .to_owned(),
         )
     })?;
-    rt.set_threads(threads.max(1));
+    rt.set_threads(threads);
     let mut text = String::new();
     let mut polls = 0u64;
     let mut do_poll = |rt: &mut DatalogRuntime, text: &mut String| -> Result<(), CliFailure> {

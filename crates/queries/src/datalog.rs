@@ -31,22 +31,26 @@
 //! smallest-extent atom first) by the planner and kernel this engine
 //! shares with the incremental runtime, and bound-position lookups
 //! probe hash or sorted-prefix indexes from [`fmt_structures::index`]
-//! instead of rescanning extents; semi-naive rounds fan the per-rule delta
-//! applications out across scoped worker threads with hash-sharded
-//! deltas. IDB extents live in columnar [`TupleStore`] arenas: the
-//! kernel walks `u32` row ids and per-column slices, deltas are row-id
-//! ranges of the growing stores, and the steady-state join loop
-//! performs no per-derived-tuple heap allocation. The original
+//! instead of rescanning extents. Every round — a stratum's
+//! initialization pass, a semi-naive delta round, a naive round — goes
+//! through the round runner shared with the runtime ([`Runner`]): it
+//! runs the round's rule applications, inline below 512 driver rows
+//! and hash-sharded across scoped workers above, then merges their
+//! staged output into the stores in a fixed order. IDB extents live in
+//! columnar [`TupleStore`] arenas: the kernel walks `u32` row ids and
+//! per-column slices, a delta is the list of rows the last round
+//! appended, and the steady-state join loop performs no
+//! per-derived-tuple heap allocation. The original
 //! written-order nested-loop evaluator survives as
 //! [`Program::eval_seminaive_scan`] — the baseline the `datalog` bench
 //! and the `queries.index.*` counters are compared against, still on
 //! the old `HashSet<Vec<Elem>>` representation as a differential
 //! oracle.
 
-use crate::join::{self, Access, Edb, ExecCtx, Step};
+use crate::join::{self, Access, Edb, Job, Runner, Step};
 use fmt_structures::budget::{Budget, BudgetResult, Exhausted};
 use fmt_structures::index::{ColumnIndex, TupleIndex};
-use fmt_structures::par::fan_out;
+use fmt_structures::par::resolve_threads;
 use fmt_structures::store::TupleStore;
 use fmt_structures::{Elem, Interner, RelId, Relation, Signature, Span, Structure};
 use std::collections::{HashMap, HashSet};
@@ -69,12 +73,6 @@ static OBS_NAIVE_ROUNDS: fmt_obs::Counter = fmt_obs::Counter::new("queries.datal
 /// counter" the indexed engine's `queries.index.probes` is measured
 /// against.
 static OBS_SCAN_TUPLES: fmt_obs::Counter = fmt_obs::Counter::new("queries.datalog.scan_tuples");
-/// Per-job fill of the fullest delta shard, as a percentage of the
-/// ideal (perfectly balanced) shard size; 100 means perfectly even.
-static OBS_SHARD_IMBALANCE: fmt_obs::Histogram =
-    fmt_obs::Histogram::new("queries.datalog.shard_imbalance");
-/// Rule×delta applications dispatched to parallel workers.
-static OBS_PAR_JOBS: fmt_obs::Counter = fmt_obs::Counter::new("queries.datalog.parallel_jobs");
 
 /// A Datalog variable (local to a rule).
 type DlVar = u32;
@@ -739,7 +737,7 @@ impl Program {
         let strata = self.eval_strata()?;
         let mut eval_span =
             fmt_obs::trace_span!("datalog.eval", engine = "naive", rules = self.rules.len());
-        let k = self.idb_names.len();
+        let runner = self.runner(s, 1);
         let mut store = self.new_store();
         let mut edb = EdbCache::new(s);
         let mut iterations = 0;
@@ -750,57 +748,10 @@ impl Program {
                 iterations += 1;
                 OBS_NAIVE_ROUNDS.incr();
                 let mut round_span = fmt_obs::trace_span!("datalog.round", round = iterations);
-                // Candidate new tuples, staged per IDB in flat buffers (the
-                // counts carry nullary facts, whose rows occupy no bytes).
-                let mut bufs: Vec<Vec<Elem>> = vec![Vec::new(); k];
-                let mut counts: Vec<usize> = vec![0; k];
-                for &ri in rules_in {
-                    let rule = &self.rules[ri];
-                    let mut rule_span =
-                        fmt_obs::trace_span!("datalog.rule", rule = ri, round = iterations);
-                    let mut plan = join::plan(rule, None, &[], &|a| extent_len(s, &store, a));
-                    ensure_plan_indexes(&mut plan, rule, &mut edb, &mut store);
-                    let views = edb.views();
-                    let ctx = ExecCtx::new(
-                        rule,
-                        &plan,
-                        Edb::Sorted(&edb.rels, &views),
-                        &store,
-                        &[],
-                        s.size(),
-                        AT,
-                    );
-                    let mut rule_derived = 0u64;
-                    let store_ref = &store;
-                    ctx.run(budget, &mut |idb, t| {
-                        rule_derived += 1;
-                        if !store_ref[idb].store.contains(t) {
-                            bufs[idb].extend_from_slice(t);
-                            counts[idb] += 1;
-                        }
-                        true
-                    })?;
-                    derivations += rule_derived;
-                    rule_span.record_field("probes", ctx.probes.get());
-                    rule_span.record_field("derived", rule_derived);
-                    rule_span.record_field("probe_allocs", ctx.probe_allocs.get());
-                }
-                let mut added = 0u64;
-                for (j, (buf, &cnt)) in bufs.iter().zip(counts.iter()).enumerate() {
-                    let a = self.idb_arity[j];
-                    for i in 0..cnt {
-                        if store[j]
-                            .store
-                            .push_if_new(&buf[i * a..(i + 1) * a])
-                            .is_some()
-                        {
-                            added += 1;
-                        }
-                    }
-                }
-                for r in store.iter_mut() {
-                    r.extend_indexes();
-                }
+                let (new, derived) =
+                    self.full_pass(&runner, iterations, rules_in, &mut edb, &mut store, budget)?;
+                derivations += derived;
+                let added = new.iter().map(Vec::len).sum::<usize>() as u64;
                 delta_history.push(added);
                 round_span.record_field("new", added);
                 if added == 0 {
@@ -820,7 +771,7 @@ impl Program {
 
     /// Semi-naive evaluation with the indexed, join-ordered, parallel
     /// engine and an automatic worker count
-    /// (`min(available_parallelism, 8)`).
+    /// ([`fmt_structures::par::resolve_threads`]).
     pub fn eval_seminaive(&self, s: &Structure) -> Output {
         self.eval_seminaive_with(s, 0)
     }
@@ -852,32 +803,19 @@ impl Program {
     ) -> Result<Output, EvalError> {
         self.check_structure(s);
         let strata = self.eval_strata()?;
-        let threads = if threads == 0 {
-            std::thread::available_parallelism()
-                .map(std::num::NonZero::get)
-                .unwrap_or(1)
-                .min(8)
-        } else {
-            threads
-        };
-        let k = self.idb_names.len();
+        let threads = resolve_threads(threads);
         let mut eval_span = fmt_obs::trace_span!(
             "datalog.eval",
             engine = "indexed",
             rules = self.rules.len(),
             threads = threads
         );
+        let runner = self.runner(s, threads);
         let mut store = self.new_store();
         let mut edb = EdbCache::new(s);
         let mut derivations = 0u64;
         let mut delta_history: Vec<u64> = Vec::new();
         let mut iterations = 0usize;
-        // Per-IDB delta as a row-id range `[start, end)` of the store:
-        // row ids are stable under append, so no tuple is ever copied
-        // into a separate delta set. Lower-stratum extents stop growing
-        // once their stratum completes, so their ranges stay empty and
-        // never spawn jobs again.
-        let mut delta: Vec<(u32, u32)> = vec![(0, 0); k];
         // Plans are cached per (rule, delta position) for the whole
         // evaluation; the indexes they probe are kept current by the
         // per-round merge, so re-planning each round buys nothing.
@@ -888,240 +826,71 @@ impl Program {
             // Stratum initialization: this stratum's rules on the full
             // extents of the completed lower strata (and the empty
             // extents of its own heads; on a negation-free program this
-            // is exactly the old all-rules-on-empty-IDB pass). Cheap —
-            // run inline. Emissions are staged in flat per-IDB buffers
-            // (counts carry nullary facts) and deduplicated by the
-            // stores on merge.
-            let init_span = fmt_obs::trace_span!("datalog.init");
-            let len_pre: Vec<u32> = store.iter().map(|r| r.store.rows32()).collect();
-            let mut bufs: Vec<Vec<Elem>> = vec![Vec::new(); k];
-            let mut counts: Vec<usize> = vec![0; k];
-            for &ri in rules_in {
-                let rule = &self.rules[ri];
-                let mut rule_span =
-                    fmt_obs::trace_span!("datalog.rule", rule = ri, round = iterations + 1);
-                let mut plan = join::plan(rule, None, &[], &|a| extent_len(s, &store, a));
-                ensure_plan_indexes(&mut plan, rule, &mut edb, &mut store);
-                let views = edb.views();
-                let ctx = ExecCtx::new(
-                    rule,
-                    &plan,
-                    Edb::Sorted(&edb.rels, &views),
-                    &store,
-                    &[],
-                    s.size(),
-                    AT,
-                );
-                let mut rule_derived = 0u64;
-                let staged0: usize = bufs.iter().map(Vec::len).sum();
-                ctx.run(budget, &mut |idb, t| {
-                    rule_derived += 1;
-                    bufs[idb].extend_from_slice(t);
-                    counts[idb] += 1;
-                    true
-                })?;
-                derivations += rule_derived;
-                let staged: usize = bufs.iter().map(Vec::len).sum::<usize>() - staged0;
-                rule_span.record_field("probes", ctx.probes.get());
-                rule_span.record_field("derived", rule_derived);
-                rule_span.record_field("probe_allocs", ctx.probe_allocs.get());
-                rule_span.record_field("arena_bytes", (staged * ELEM_BYTES) as u64);
-            }
-            let mut initial_facts = 0u64;
-            for (j, (buf, &cnt)) in bufs.iter().zip(counts.iter()).enumerate() {
-                let a = self.idb_arity[j];
-                for i in 0..cnt {
-                    if store[j]
-                        .store
-                        .push_if_new(&buf[i * a..(i + 1) * a])
-                        .is_some()
-                    {
-                        initial_facts += 1;
-                    }
-                }
-            }
-            for r in store.iter_mut() {
-                r.extend_indexes();
-            }
-            drop(init_span);
+            // is exactly the old all-rules-on-empty-IDB pass). The new
+            // rows are the first delta; lower-stratum extents stop
+            // growing once their stratum completes, so their deltas
+            // stay empty and never spawn jobs again.
             iterations += 1;
+            let init_span = fmt_obs::trace_span!("datalog.init");
+            let (mut delta, derived) =
+                self.full_pass(&runner, iterations, rules_in, &mut edb, &mut store, budget)?;
+            drop(init_span);
+            derivations += derived;
+            let initial_facts = delta.iter().map(Vec::len).sum::<usize>() as u64;
             OBS_ROUNDS.incr();
             OBS_DELTA_FACTS.add(initial_facts);
             OBS_DELTA_SIZE.record(initial_facts);
             delta_history.push(initial_facts);
-            for (j, d) in delta.iter_mut().enumerate() {
-                *d = (len_pre[j], store[j].store.rows32());
-            }
 
-            while delta.iter().any(|&(d0, d1)| d1 > d0) {
+            while delta.iter().any(|d| !d.is_empty()) {
                 iterations += 1;
                 OBS_ROUNDS.incr();
-                let total_delta: usize = delta.iter().map(|&(d0, d1)| (d1 - d0) as usize).sum();
+                let total_delta: usize = delta.iter().map(Vec::len).sum();
                 let mut round_span =
                     fmt_obs::trace_span!("datalog.round", round = iterations, delta = total_delta);
-
                 // One job per (rule, positive IDB body position) with a
                 // nonempty delta; plan on first sight, then build every
-                // index the plan needs so the fan-out below can share
-                // the caches immutably. Negated atoms never drive a
-                // delta — their extents are frozen lower strata.
+                // index the plan needs so the runner can share the
+                // caches immutably.
                 let plan_span = fmt_obs::trace_span!("datalog.plan");
-                let mut jobs: Vec<(usize, usize, usize)> = Vec::new();
-                for &ri in rules_in {
-                    let rule = &self.rules[ri];
-                    for (pos, atom) in rule.body.iter().enumerate() {
-                        if atom.negated {
-                            continue;
-                        }
-                        if let Pred::Idb(j) = atom.pred {
-                            let (d0, d1) = delta[j];
-                            if d1 == d0 {
-                                continue;
-                            }
-                            let pi = match plan_of.get(&(ri, pos)) {
-                                Some(&pi) => pi,
-                                None => {
-                                    let mut plan = join::plan(rule, Some(pos), &[], &|a| {
-                                        extent_len(s, &store, a)
-                                    });
-                                    ensure_plan_indexes(&mut plan, rule, &mut edb, &mut store);
-                                    plans.push(plan);
-                                    plan_of.insert((ri, pos), plans.len() - 1);
-                                    plans.len() - 1
-                                }
-                            };
-                            jobs.push((ri, pos, pi));
-                        }
-                    }
-                }
-                OBS_PAR_JOBS.add(jobs.len() as u64);
-
-                // Hash-shard each job's delta row ids; small rounds stay
-                // unsharded. Row hashes come from the store's arenas — the
-                // same FNV fold the old per-tuple sharding used.
-                let nshards = if threads == 1 || total_delta < 512 {
-                    1
-                } else {
-                    threads
-                };
-                let mut items: Vec<(usize, Vec<u32>)> = Vec::new();
-                for (ji, &(ri, pos, _)) in jobs.iter().enumerate() {
-                    let Pred::Idb(j) = self.rules[ri].body[pos].pred else {
-                        unreachable!("jobs are delta-driven")
-                    };
-                    let (d0, d1) = delta[j];
-                    if nshards == 1 {
-                        items.push((ji, (d0..d1).collect()));
-                        continue;
-                    }
-                    let st = &store[j].store;
-                    let per_shard = ((d1 - d0) as usize / nshards + 1) * 2;
-                    let mut shards: Vec<Vec<u32>> = vec![Vec::with_capacity(per_shard); nshards];
-                    for row in d0..d1 {
-                        shards[(st.row_hash(row) % nshards as u64) as usize].push(row);
-                    }
-                    let ideal = ((d1 - d0) as usize).div_ceil(nshards).max(1);
-                    let fullest = shards.iter().map(Vec::len).max().unwrap_or(0);
-                    OBS_SHARD_IMBALANCE.record((fullest * 100 / ideal) as u64);
-                    items.extend(
-                        shards
-                            .into_iter()
-                            .filter(|sh| !sh.is_empty())
-                            .map(|sh| (ji, sh)),
-                    );
-                }
-                drop(plan_span);
-
-                // Fan out; each worker stages derived tuples in flat
-                // per-IDB buffers — no per-tuple allocation anywhere in
-                // the loop, and no dedup here: `push_if_new` on merge does
-                // one hash per staged tuple, so pre-filtering against the
-                // frozen extent would only add a second hash. Results
-                // merge in item order, so the engine is deterministic for
-                // any thread count. Worker rule spans attach under this
-                // round's join span through fan_out's parent propagation.
-                let join_span = fmt_obs::trace_span!("datalog.join", jobs = jobs.len());
-                let store_ref = &store;
-                let plans_ref = &plans;
-                let views = edb.views();
-                let sorted = Edb::Sorted(&edb.rels, &views);
-                let results = fan_out(threads, &items, |chunk| -> BudgetResult<_> {
-                    let mut derivs = 0u64;
-                    let mut bufs: Vec<Vec<Elem>> = vec![Vec::new(); k];
-                    let mut counts: Vec<usize> = vec![0; k];
-                    for (ji, shard) in chunk {
-                        let (ri, pos, pi) = jobs[*ji];
-                        let rule = &self.rules[ri];
-                        let mut rule_span = fmt_obs::trace_span!(
-                            "datalog.rule",
-                            rule = ri,
-                            pos = pos,
-                            round = iterations,
-                            tuples = shard.len()
-                        );
-                        let ctx = ExecCtx::new(
-                            rule,
-                            &plans_ref[pi],
-                            sorted,
-                            store_ref,
-                            shard,
-                            s.size(),
-                            AT,
-                        );
-                        let mut rule_derived = 0u64;
-                        let staged0: usize = bufs.iter().map(Vec::len).sum();
-                        ctx.run(budget, &mut |idb, t| {
-                            rule_derived += 1;
-                            bufs[idb].extend_from_slice(t);
-                            counts[idb] += 1;
-                            true
-                        })?;
-                        derivs += rule_derived;
-                        let staged: usize = bufs.iter().map(Vec::len).sum::<usize>() - staged0;
-                        rule_span.record_field("probes", ctx.probes.get());
-                        rule_span.record_field("derived", rule_derived);
-                        rule_span.record_field("probe_allocs", ctx.probe_allocs.get());
-                        rule_span.record_field("arena_bytes", (staged * ELEM_BYTES) as u64);
-                    }
-                    Ok((derivs, bufs, counts))
+                let keys = join::delta_jobs(&self.rules, rules_in.iter().copied(), |p| match p {
+                    Pred::Idb(j) => delta[j].as_slice(),
+                    Pred::Edb(_) => &[],
                 });
-                drop(join_span);
-
-                // Dedup: drain worker buffers in item order straight into
-                // the stores — push_if_new is the hash-set insert and the
-                // arena append in one step.
-                let dedup_span = fmt_obs::trace_span!("datalog.dedup");
-                let len_before: Vec<u32> = store.iter().map(|r| r.store.rows32()).collect();
-                let mut new_facts = 0u64;
-                for chunk_result in results {
-                    let (derivs, bufs, counts) = chunk_result?;
-                    derivations += derivs;
-                    for (j, (buf, &cnt)) in bufs.iter().zip(counts.iter()).enumerate() {
-                        let a = self.idb_arity[j];
-                        for i in 0..cnt {
-                            if store[j]
-                                .store
-                                .push_if_new(&buf[i * a..(i + 1) * a])
-                                .is_some()
-                            {
-                                new_facts += 1;
-                            }
-                        }
-                    }
-                }
-                drop(dedup_span);
-                // Merge: indexes catch up to the appended rows, and the
-                // new delta is just the appended row-id range.
-                let merge_span = fmt_obs::trace_span!("datalog.merge");
-                for (j, d) in delta.iter_mut().enumerate() {
-                    store[j].extend_indexes();
-                    *d = (len_before[j], store[j].store.rows32());
-                }
-                drop(merge_span);
+                let pis: Vec<usize> = keys
+                    .iter()
+                    .map(|&(ri, pos, _)| {
+                        *plan_of.entry((ri, pos)).or_insert_with(|| {
+                            let rule = &self.rules[ri];
+                            let mut plan =
+                                join::plan(rule, Some(pos), &[], &|a| extent_len(&edb, &store, a));
+                            ensure_plan_indexes(&mut plan, rule, &mut edb, &mut store);
+                            plans.push(plan);
+                            plans.len() - 1
+                        })
+                    })
+                    .collect();
+                let jobs: Vec<Job> = keys
+                    .iter()
+                    .zip(&pis)
+                    .map(|(&(rule, pos, driver), &pi)| Job {
+                        rule,
+                        pos: Some(pos),
+                        plan: &plans[pi],
+                        driver,
+                    })
+                    .collect();
+                drop(plan_span);
+                let views = edb.views();
+                let edb_view = Edb::Sorted(&edb.rels, &views);
+                let (new, derived) = runner.run(iterations, edb_view, &jobs, &mut store, budget)?;
+                derivations += derived;
+                let new_facts = new.iter().map(Vec::len).sum::<usize>() as u64;
                 OBS_DELTA_FACTS.add(new_facts);
                 OBS_DELTA_SIZE.record(new_facts);
                 delta_history.push(new_facts);
                 round_span.record_field("new", new_facts);
+                delta = new;
             }
         }
         eval_span.record_field("rounds", iterations);
@@ -1132,6 +901,51 @@ impl Program {
             derivations,
             delta_history,
         })
+    }
+
+    /// The round runner of one batch evaluation of `s`.
+    fn runner(&self, s: &Structure, threads: usize) -> Runner<'_> {
+        Runner {
+            rules: &self.rules,
+            domain: s.size(),
+            threads,
+            site: AT,
+        }
+    }
+
+    /// One driverless round: every rule of `rules_in`, planned afresh,
+    /// on the full extents — a stratum's initialization pass, and each
+    /// round of the naive engine.
+    fn full_pass(
+        &self,
+        runner: &Runner<'_>,
+        round: usize,
+        rules_in: &[usize],
+        edb: &mut EdbCache<'_>,
+        store: &mut [IdbStore],
+        budget: &Budget,
+    ) -> BudgetResult<(Vec<Vec<u32>>, u64)> {
+        let plans: Vec<Vec<Step>> = rules_in
+            .iter()
+            .map(|&ri| {
+                let rule = &self.rules[ri];
+                let mut plan = join::plan(rule, None, &[], &|a| extent_len(edb, store, a));
+                ensure_plan_indexes(&mut plan, rule, edb, store);
+                plan
+            })
+            .collect();
+        let jobs: Vec<Job> = rules_in
+            .iter()
+            .zip(&plans)
+            .map(|(&rule, plan)| Job {
+                rule,
+                pos: None,
+                plan,
+                driver: &[],
+            })
+            .collect();
+        let views = edb.views();
+        runner.run(round, Edb::Sorted(&edb.rels, &views), &jobs, store, budget)
     }
 
     /// Semi-naive evaluation by the original written-order nested-loop
@@ -1537,9 +1351,9 @@ pub(crate) fn head_idb(rule: &Rule) -> usize {
 }
 
 /// The extent size [`join::plan`] breaks ties by in batch evaluation.
-fn extent_len(s: &Structure, store: &[IdbStore], atom: &Atom) -> usize {
+fn extent_len(edb: &EdbCache<'_>, store: &[IdbStore], atom: &Atom) -> usize {
     match atom.pred {
-        Pred::Edb(r) => s.rel(r).len(),
+        Pred::Edb(r) => edb.rels[r.0].len(),
         Pred::Idb(j) => store[j].len(),
     }
 }
@@ -1625,9 +1439,6 @@ fn emit_head_scan(
     unbound.dedup();
     rec(s, &rule.head, head_idb, binding, &unbound, 0, budget, emit)
 }
-
-/// Bytes per stored element, for the arena-bytes trace fields.
-const ELEM_BYTES: usize = std::mem::size_of::<Elem>();
 
 #[cfg(test)]
 mod tests {
@@ -2012,7 +1823,10 @@ mod tests {
         .unwrap();
         let s = builders::directed_path(4);
         let store = prog.new_store();
-        let plan = join::plan(&prog.rules()[0], None, &[], &|a| extent_len(&s, &store, a));
+        let edb = EdbCache::new(&s);
+        let plan = join::plan(&prog.rules()[0], None, &[], &|a| {
+            extent_len(&edb, &store, a)
+        });
         // The NegCheck on `!e(y, y)` lands right after the first step
         // binds y — before the second positive edge atom is joined.
         let neg_step = plan
@@ -2031,14 +1845,15 @@ mod tests {
         let prog = Program::same_generation();
         let s = builders::full_binary_tree(3);
         let mut store = prog.new_store();
+        let mut edb = EdbCache::new(&s);
         let rule = &prog.rules()[1];
-        let mut plan = join::plan(rule, Some(2), &[], &|a| extent_len(&s, &store, a));
+        let mut plan = join::plan(rule, Some(2), &[], &|a| extent_len(&edb, &store, a));
         assert_eq!(plan[0].atom, 2);
         assert_eq!(plan[0].access, Access::ScanDelta);
         for step in &plan[1..] {
             assert_eq!(step.access, Access::Probe(vec![0]));
         }
-        ensure_plan_indexes(&mut plan, rule, &mut EdbCache::new(&s), &mut store);
+        ensure_plan_indexes(&mut plan, rule, &mut edb, &mut store);
         for step in &plan[1..] {
             assert_eq!(
                 step.access,
@@ -2048,7 +1863,7 @@ mod tests {
         }
         // Without a driver nothing is bound at first: the smallest
         // extent leads (the empty IDB extent beats the edge relation).
-        let plan = join::plan(rule, None, &[], &|a| extent_len(&s, &store, a));
+        let plan = join::plan(rule, None, &[], &|a| extent_len(&edb, &store, a));
         assert_eq!(plan[0].atom, 2);
         assert_eq!(plan[0].access, Access::Scan);
     }

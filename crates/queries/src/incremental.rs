@@ -33,10 +33,10 @@
 //! under `queries.incr.*` and traced as `datalog.incr.*` spans.
 
 use crate::datalog::{head_idb, rule_num_vars, Atom, IdbStore, Pred, Program};
-use crate::join::{self, exec, Access, Edb, ExecCtx, Step};
+use crate::join::{self, exec, Access, Edb, ExecCtx, Job, Runner, Step};
 use fmt_structures::budget::{Budget, BudgetResult};
 use fmt_structures::index::ColumnIndex;
-use fmt_structures::par::fan_out;
+use fmt_structures::par::resolve_threads;
 use fmt_structures::store::TupleStore;
 use fmt_structures::{Elem, RelId, Structure};
 use std::collections::HashMap;
@@ -75,6 +75,16 @@ enum PlanKey {
     Goal { rule: usize },
 }
 
+impl PlanKey {
+    /// The rule, and the driven body position if any.
+    fn rule_pos(self) -> (usize, Option<usize>) {
+        match self {
+            PlanKey::Driver { rule, pos } => (rule, Some(pos)),
+            PlanKey::Init { rule } | PlanKey::Goal { rule } => (rule, None),
+        }
+    }
+}
+
 /// What one [`DatalogRuntime::poll`] did, in fact counts.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PollStats {
@@ -88,7 +98,8 @@ pub struct PollStats {
     pub overdeleted: u64,
     /// Over-deleted facts revived by the direct support check.
     pub rederived: u64,
-    /// Delta propagation rounds run.
+    /// Over-deletion and propagation rounds run (a rebuild propagates
+    /// for the batch engine's `iterations - 1` rounds).
     pub rounds: u64,
     /// `true` if this poll recomputed from scratch (first poll, or
     /// recovery after a budget-exhausted poll).
@@ -244,16 +255,18 @@ impl DatalogRuntime {
         self.domain
     }
 
-    /// Worker threads used by insertion propagation (1 = inline).
+    /// Worker threads used by rebuild and propagation rounds (1 =
+    /// inline).
     pub fn threads(&self) -> usize {
         self.threads
     }
 
-    /// Sets the worker-thread count (0 is clamped to 1). The result of
-    /// a poll is deterministic for any thread count; budget exhaustion
-    /// points are deterministic at one thread.
+    /// Sets the worker-thread count, `0` meaning automatic
+    /// ([`resolve_threads`], as in batch evaluation). The result of a
+    /// poll is the same at any thread count; budget exhaustion points
+    /// are deterministic only at one thread.
     pub fn set_threads(&mut self, threads: usize) {
-        self.threads = threads.max(1);
+        self.threads = resolve_threads(threads);
     }
 
     /// Queued updates not yet applied by a poll.
@@ -391,28 +404,15 @@ impl DatalogRuntime {
         }
         // Goal/driver plans survive (access shapes stay valid); any
         // index they reference is re-created lazily by ensure_indexes.
+        // The initialization pass is the batch engine's: every rule,
+        // driverless, on the pre-pass extents.
         let span = fmt_obs::trace_span!("datalog.incr.init");
-        let mut idb_delta: Vec<Vec<u32>> = vec![Vec::new(); self.idb.len()];
-        for ri in 0..self.program.rules().len() {
-            let pi = self.plan_for(PlanKey::Init { rule: ri });
-            let ctx = self.ctx(ri, pi, &[]);
-            let h = ctx.head_idb;
-            let mut staged: Vec<Vec<Elem>> = Vec::new();
-            ctx.run(budget, &mut |_, t| {
-                staged.push(t.to_vec());
-                true
-            })?;
-            for t in staged {
-                if let Some(row) = self.idb[h].store.push_if_new(&t) {
-                    idb_delta[h].push(row);
-                    stats.derived += 1;
-                }
-            }
-        }
-        for r in &mut self.idb {
-            r.extend_indexes();
-        }
+        let keys: Vec<(PlanKey, &[u32])> = (0..self.program.rules().len())
+            .map(|rule| (PlanKey::Init { rule }, &[][..]))
+            .collect();
+        let idb_delta = self.run_round(0, &keys, budget)?;
         drop(span);
+        stats.derived += idb_delta.iter().map(|d| d.len() as u64).sum::<u64>();
         OBS_DERIVED.add(stats.derived);
         let edb_delta = vec![Vec::new(); self.edb.len()];
         // The init pass joined full EDB extents already, so only IDB
@@ -495,34 +495,14 @@ impl DatalogRuntime {
         loop {
             stats.rounds += 1;
             OBS_ROUNDS.incr();
-            let mut jobs: Vec<(usize, usize, usize)> = Vec::new();
-            for (ri, rule) in self.program.rules().iter().enumerate() {
-                for (pos, atom) in rule.body.iter().enumerate() {
-                    let nonempty = match atom.pred {
-                        Pred::Edb(r) => !edb_delta[r.0].is_empty(),
-                        Pred::Idb(j) => !idb_delta[j].is_empty(),
-                    };
-                    if nonempty {
-                        jobs.push((ri, pos, 0));
-                    }
-                }
-            }
+            let jobs = self.delta_jobs(&edb_delta, &idb_delta);
             if jobs.is_empty() {
                 break;
             }
-            for job in &mut jobs {
-                job.2 = self.plan_for(PlanKey::Driver {
-                    rule: job.0,
-                    pos: job.1,
-                });
-            }
             let mut next_delta: Vec<Vec<u32>> = vec![Vec::new(); self.idb.len()];
-            for &(ri, pos, pi) in &jobs {
-                let rule = &self.program.rules()[ri];
-                let driver = match rule.body[pos].pred {
-                    Pred::Edb(r) => &edb_delta[r.0],
-                    Pred::Idb(j) => &idb_delta[j],
-                };
+            for &(key, driver) in &jobs {
+                let (ri, _) = key.rule_pos();
+                let pi = self.plan_for(key);
                 let ctx = self.ctx(ri, pi, driver);
                 let h = ctx.head_idb;
                 let head_store = &self.idb[h].store;
@@ -648,9 +628,9 @@ impl DatalogRuntime {
 
     /// Semi-naive propagation of the delta-rewritten program: every
     /// `(rule, delta position)` with a nonempty delta becomes a job
-    /// (EDB deltas drive the first round only), jobs fan out across
-    /// worker threads, and emissions merge deterministically in job
-    /// order. New and revived rows form the next round's deltas.
+    /// (EDB deltas drive the first round only), and each round goes
+    /// through the shared runner. New and revived rows form the next
+    /// round's deltas.
     fn propagate(
         &mut self,
         mut edb_delta: Vec<Vec<u32>>,
@@ -658,98 +638,71 @@ impl DatalogRuntime {
         budget: &Budget,
         stats: &mut PollStats,
     ) -> BudgetResult<()> {
-        let k = self.idb.len();
         while edb_delta.iter().any(|d| !d.is_empty()) || idb_delta.iter().any(|d| !d.is_empty()) {
             stats.rounds += 1;
             OBS_ROUNDS.incr();
-            let mut jobs: Vec<(usize, usize, usize)> = Vec::new();
-            for (ri, rule) in self.program.rules().iter().enumerate() {
-                for (pos, atom) in rule.body.iter().enumerate() {
-                    let nonempty = match atom.pred {
-                        Pred::Edb(r) => !edb_delta[r.0].is_empty(),
-                        Pred::Idb(j) => !idb_delta[j].is_empty(),
-                    };
-                    if nonempty {
-                        jobs.push((ri, pos, 0));
-                    }
-                }
-            }
-            if jobs.is_empty() {
-                break;
-            }
-            for job in &mut jobs {
-                job.2 = self.plan_for(PlanKey::Driver {
-                    rule: job.0,
-                    pos: job.1,
-                });
-            }
-
-            // Split each job's delta into contiguous chunks so big
-            // rounds spread across workers; results still merge in
-            // item order, so any thread count computes the same store.
-            let total: usize = jobs
-                .iter()
-                .map(
-                    |&(ri, pos, _)| match self.program.rules()[ri].body[pos].pred {
-                        Pred::Edb(r) => edb_delta[r.0].len(),
-                        Pred::Idb(j) => idb_delta[j].len(),
-                    },
-                )
-                .sum();
-            let nchunks = if self.threads == 1 || total < 512 {
-                1
-            } else {
-                self.threads
-            };
-            let mut items: Vec<(usize, &[u32])> = Vec::new();
-            for (ji, &(ri, pos, _)) in jobs.iter().enumerate() {
-                let delta: &[u32] = match self.program.rules()[ri].body[pos].pred {
-                    Pred::Edb(r) => &edb_delta[r.0],
-                    Pred::Idb(j) => &idb_delta[j],
-                };
-                let chunk = delta.len().div_ceil(nchunks).max(1);
-                items.extend(delta.chunks(chunk).map(|c| (ji, c)));
-            }
-
+            let jobs = self.delta_jobs(&edb_delta, &idb_delta);
             let span = fmt_obs::trace_span!("datalog.incr.round", jobs = jobs.len());
-            let results = fan_out(self.threads, &items, |chunk| {
-                let mut bufs: Vec<Vec<Elem>> = vec![Vec::new(); k];
-                let mut counts: Vec<usize> = vec![0; k];
-                for &(ji, driver) in chunk {
-                    let (ri, _, pi) = jobs[ji];
-                    self.ctx(ri, pi, driver).run(budget, &mut |h, t| {
-                        bufs[h].extend_from_slice(t);
-                        counts[h] += 1;
-                        true
-                    })?;
-                }
-                Ok((bufs, counts))
-            });
+            let next = self.run_round(stats.rounds as usize, &jobs, budget)?;
             drop(span);
-
-            for d in &mut edb_delta {
-                d.clear();
-            }
-            let mut next_delta: Vec<Vec<u32>> = vec![Vec::new(); k];
-            for chunk_result in results {
-                let (bufs, counts) = chunk_result?;
-                for (j, (buf, &cnt)) in bufs.iter().zip(counts.iter()).enumerate() {
-                    let a = self.program.idb_info(j).1;
-                    for i in 0..cnt {
-                        if let Some(row) = self.idb[j].store.push_if_new(&buf[i * a..(i + 1) * a]) {
-                            next_delta[j].push(row);
-                            stats.derived += 1;
-                        }
-                    }
-                }
-            }
-            for r in &mut self.idb {
-                r.extend_indexes();
-            }
-            OBS_DERIVED.add(next_delta.iter().map(|d| d.len() as u64).sum());
-            idb_delta = next_delta;
+            let derived = next.iter().map(|d| d.len() as u64).sum::<u64>();
+            stats.derived += derived;
+            OBS_DERIVED.add(derived);
+            edb_delta.iter_mut().for_each(Vec::clear);
+            idb_delta = next;
         }
         Ok(())
+    }
+
+    /// The delta-driven jobs of one round, over every rule: a plan key
+    /// and the driver rows of each `(rule, position)` whose atom has a
+    /// nonempty EDB or IDB delta.
+    fn delta_jobs<'d>(
+        &self,
+        edb_delta: &'d [Vec<u32>],
+        idb_delta: &'d [Vec<u32>],
+    ) -> Vec<(PlanKey, &'d [u32])> {
+        let rules = self.program.rules();
+        join::delta_jobs(rules, 0..rules.len(), |p| match p {
+            Pred::Edb(r) => edb_delta[r.0].as_slice(),
+            Pred::Idb(j) => idb_delta[j].as_slice(),
+        })
+        .into_iter()
+        .map(|(rule, pos, rows)| (PlanKey::Driver { rule, pos }, rows))
+        .collect()
+    }
+
+    /// Runs one round of jobs, each a plan key and its driver rows,
+    /// through the shared runner; returns the new and revived rows per
+    /// IDB.
+    fn run_round(
+        &mut self,
+        round: usize,
+        keys: &[(PlanKey, &[u32])],
+        budget: &Budget,
+    ) -> BudgetResult<Vec<Vec<u32>>> {
+        let pis: Vec<usize> = keys.iter().map(|&(key, _)| self.plan_for(key)).collect();
+        let jobs: Vec<Job> = keys
+            .iter()
+            .zip(&pis)
+            .map(|(&(key, driver), &pi)| {
+                let (rule, pos) = key.rule_pos();
+                Job {
+                    rule,
+                    pos,
+                    plan: &self.plans[pi],
+                    driver,
+                }
+            })
+            .collect();
+        let runner = Runner {
+            rules: self.program.rules(),
+            domain: self.domain,
+            threads: self.threads,
+            site: AT,
+        };
+        let edb = Edb::Columnar(&self.edb);
+        Ok(runner.run(round, edb, &jobs, &mut self.idb, budget)?.0)
     }
 
     /// A kernel context for rule `ri` under cached plan `pi`, with
@@ -777,10 +730,7 @@ impl DatalogRuntime {
             self.ensure_indexes(pi, key);
             return pi;
         }
-        let (ri, driver) = match key {
-            PlanKey::Driver { rule, pos } => (rule, Some(pos)),
-            PlanKey::Init { rule } | PlanKey::Goal { rule } => (rule, None),
-        };
+        let (ri, driver) = key.rule_pos();
         let rule = &self.program.rules()[ri];
         let mut pre_bound = vec![false; rule_num_vars(rule)];
         if matches!(key, PlanKey::Goal { .. }) {
@@ -807,9 +757,7 @@ impl DatalogRuntime {
     /// Builds (or catches up) every index a plan probes. Cheap when
     /// current: `ColumnIndex::extend` is a no-op past `built_upto`.
     fn ensure_indexes(&mut self, pi: usize, key: PlanKey) {
-        let ri = match key {
-            PlanKey::Driver { rule, .. } | PlanKey::Init { rule } | PlanKey::Goal { rule } => rule,
-        };
+        let (ri, _) = key.rule_pos();
         for si in 0..self.plans[pi].len() {
             let Access::Probe(ref k) = self.plans[pi][si].access else {
                 continue;
@@ -994,6 +942,15 @@ mod tests {
         for j in 0..a.program().num_idbs() {
             assert_eq!(a.query(j), b.query(j));
         }
+    }
+
+    #[test]
+    fn zero_threads_means_the_automatic_count() {
+        let mut rt = DatalogRuntime::new(Program::transitive_closure(), 3).unwrap();
+        rt.set_threads(0);
+        assert_eq!(rt.threads(), resolve_threads(0));
+        rt.set_threads(2);
+        assert_eq!(rt.threads(), 2);
     }
 
     #[test]

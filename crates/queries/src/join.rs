@@ -1,12 +1,14 @@
-//! The join planner and join kernel shared by every indexed Datalog
-//! evaluator (see `docs/join-engine.md`):
+//! The join planner, the join kernel and the semi-naive round runner
+//! shared by every indexed Datalog evaluator (see
+//! `docs/join-engine.md`):
 //!
 //! * batch evaluation ([`crate::datalog`]) plans each rule application
-//!   with [`plan`] and runs it with [`exec`] over the input structure's
-//!   sorted relations;
+//!   with [`plan`] and runs its rounds with [`Runner::run`] over the
+//!   input structure's sorted relations;
 //! * the incremental runtime ([`crate::incremental`]) plans its delta,
-//!   rebuild and remaining-support joins with [`plan`] and runs them
-//!   with [`exec`] over its columnar, tombstoned EDB stores;
+//!   rebuild and remaining-support joins with [`plan`], runs its
+//!   rebuild and propagation rounds with [`Runner::run`] and its DRed
+//!   passes with [`exec`], over its columnar, tombstoned EDB stores;
 //! * the magic-sets rewrite ([`crate::magic`]) takes its static SIP
 //!   order from [`plan`] with no extents.
 //!
@@ -16,9 +18,25 @@
 use crate::datalog::{rule_num_vars, Atom, IdbStore, Pred, Rule};
 use fmt_structures::budget::{Budget, BudgetResult};
 use fmt_structures::index::{self, TupleIndex};
+use fmt_structures::par::fan_out;
 use fmt_structures::store;
 use fmt_structures::{Elem, Relation};
+use std::borrow::Cow;
 use std::cell::Cell;
+
+/// Rule×delta applications run by [`Runner::run`], batch and runtime.
+static OBS_PAR_JOBS: fmt_obs::Counter = fmt_obs::Counter::new("queries.datalog.parallel_jobs");
+/// Per sharded job, the fill of the fullest driver shard as a
+/// percentage of the ideal (perfectly balanced) shard size.
+static OBS_SHARD_IMBALANCE: fmt_obs::Histogram =
+    fmt_obs::Histogram::new("queries.datalog.shard_imbalance");
+
+/// A round whose jobs drive fewer rows than this in total runs on the
+/// calling thread: sharding and spawning only pay on big deltas.
+const PAR_MIN_ROWS: usize = 512;
+
+/// Bytes per stored element, for the `arena_bytes` span fields.
+const ELEM_BYTES: usize = std::mem::size_of::<Elem>();
 
 /// How one body atom is accessed by the join kernel.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -492,6 +510,188 @@ pub(crate) fn exec(
         }
     }
     Ok(true)
+}
+
+/// One rule application of a semi-naive round: rule `rule` of the
+/// [`Runner`]'s rules under `plan`, with body atom `pos` iterating the
+/// `driver` rows (`pos: None`: a driverless pass over full extents).
+pub(crate) struct Job<'a> {
+    pub(crate) rule: usize,
+    pub(crate) pos: Option<usize>,
+    pub(crate) plan: &'a [Step],
+    pub(crate) driver: &'a [u32],
+}
+
+/// Every `(rule, body position, driver rows)` among `rules_in` whose
+/// positive atom has a nonempty delta: the delta-driven jobs of one
+/// semi-naive round, in rule and position order.
+pub(crate) fn delta_jobs<'d>(
+    rules: &[Rule],
+    rules_in: impl IntoIterator<Item = usize>,
+    delta: impl Fn(Pred) -> &'d [u32],
+) -> Vec<(usize, usize, &'d [u32])> {
+    let mut jobs = Vec::new();
+    for ri in rules_in {
+        for (pos, atom) in rules[ri].body.iter().enumerate() {
+            let rows = delta(atom.pred);
+            if !atom.negated && !rows.is_empty() {
+                jobs.push((ri, pos, rows));
+            }
+        }
+    }
+    jobs
+}
+
+/// Derived tuples one worker staged: flat per-IDB buffers (the counts
+/// carry nullary facts, whose rows occupy no bytes) and the number of
+/// emissions, duplicates included.
+struct Staged {
+    bufs: Vec<Vec<Elem>>,
+    counts: Vec<usize>,
+    derivations: u64,
+}
+
+/// The round runner of one evaluation or poll: the rules, domain,
+/// worker count and budget site all of its rounds share.
+pub(crate) struct Runner<'a> {
+    pub(crate) rules: &'a [Rule],
+    /// Unbound head variables range over `0..domain`.
+    pub(crate) domain: u32,
+    pub(crate) threads: usize,
+    /// Budget tick site label of the calling engine.
+    pub(crate) site: &'static str,
+}
+
+impl Runner<'_> {
+    /// Runs `jobs` and merges what they derive into `idb`; returns the
+    /// rows each IDB gained (appended or revived, in merge order) and
+    /// the number of derivations. Every job reads the extents as they
+    /// were before the round. A round driving fewer than
+    /// [`PAR_MIN_ROWS`] rows runs on the calling thread; a bigger one
+    /// splits each job's driver rows into one shard per thread by an
+    /// FNV hash of the row, fanned out over scoped workers. Workers
+    /// stage every emission unfiltered (the merge's `push_if_new` is
+    /// its one hash), and the stores take them in item order, so the
+    /// result is the same at any thread count. `round` labels the
+    /// `datalog.rule` spans.
+    pub(crate) fn run(
+        &self,
+        round: usize,
+        edb: Edb<'_>,
+        jobs: &[Job<'_>],
+        idb: &mut [IdbStore],
+        budget: &Budget,
+    ) -> BudgetResult<(Vec<Vec<u32>>, u64)> {
+        let join_span = fmt_obs::trace_span!("datalog.join", jobs = jobs.len());
+        OBS_PAR_JOBS.add(jobs.iter().filter(|j| j.pos.is_some()).count() as u64);
+        let rows: usize = jobs.iter().map(|j| j.driver.len()).sum();
+        let workers = if rows < PAR_MIN_ROWS { 1 } else { self.threads };
+        let mut items: Vec<(usize, Cow<'_, [u32]>)> = Vec::new();
+        for (ji, job) in jobs.iter().enumerate() {
+            let Some(pos) = job.pos.filter(|_| workers > 1) else {
+                items.push((ji, Cow::Borrowed(job.driver)));
+                continue;
+            };
+            let st = match (self.rules[job.rule].body[pos].pred, edb) {
+                (Pred::Idb(j), _) => &idb[j].store,
+                (Pred::Edb(r), Edb::Columnar(stores)) => &stores[r.0].store,
+                (Pred::Edb(_), Edb::Sorted(..)) => {
+                    unreachable!("batch delta drivers are IDB atoms")
+                }
+            };
+            // Row hashes balance the shards: an even share plus 1/8.
+            let per_shard = job.driver.len() / workers * 9 / 8 + 1;
+            let mut shards: Vec<Vec<u32>> = vec![Vec::with_capacity(per_shard); workers];
+            for &row in job.driver {
+                shards[(st.row_hash(row) % workers as u64) as usize].push(row);
+            }
+            let ideal = job.driver.len().div_ceil(workers).max(1);
+            let fullest = shards.iter().map(Vec::len).max().unwrap_or(0);
+            OBS_SHARD_IMBALANCE.record((fullest * 100 / ideal) as u64);
+            items.extend(
+                shards
+                    .into_iter()
+                    .filter(|sh| !sh.is_empty())
+                    .map(|sh| (ji, Cow::Owned(sh))),
+            );
+        }
+        let frozen: &[IdbStore] = idb;
+        let results = fan_out(workers, &items, |chunk| {
+            self.stage(round, edb, jobs, chunk, frozen, budget)
+        });
+        drop((items, join_span));
+
+        let dedup_span = fmt_obs::trace_span!("datalog.dedup");
+        // Sized once from the staged counts, not grown by doubling.
+        let mut new_rows: Vec<Vec<u32>> = (0..idb.len())
+            .map(|j| {
+                let staged = results.iter().flatten().map(|st| st.counts[j]).sum();
+                Vec::with_capacity(staged)
+            })
+            .collect();
+        let mut derivations = 0u64;
+        for result in results {
+            let staged = result?;
+            derivations += staged.derivations;
+            for (j, (buf, &n)) in staged.bufs.iter().zip(&staged.counts).enumerate() {
+                let a = idb[j].store.arity();
+                for i in 0..n {
+                    if let Some(row) = idb[j].store.push_if_new(&buf[i * a..(i + 1) * a]) {
+                        new_rows[j].push(row);
+                    }
+                }
+            }
+        }
+        drop(dedup_span);
+        let _merge_span = fmt_obs::trace_span!("datalog.merge");
+        for r in idb.iter_mut() {
+            r.extend_indexes();
+        }
+        Ok((new_rows, derivations))
+    }
+
+    /// One worker's share of a round: runs its items' jobs over the
+    /// frozen stores, staging every emission.
+    fn stage(
+        &self,
+        round: usize,
+        edb: Edb<'_>,
+        jobs: &[Job<'_>],
+        items: &[(usize, Cow<'_, [u32]>)],
+        idb: &[IdbStore],
+        budget: &Budget,
+    ) -> BudgetResult<Staged> {
+        let mut staged = Staged {
+            bufs: vec![Vec::new(); idb.len()],
+            counts: vec![0; idb.len()],
+            derivations: 0,
+        };
+        for (ji, driver) in items {
+            let job = &jobs[*ji];
+            let mut span = fmt_obs::trace_span!("datalog.rule", rule = job.rule, round = round);
+            if let Some(pos) = job.pos {
+                span.record_field("pos", pos);
+                span.record_field("tuples", driver.len());
+            }
+            let rule = &self.rules[job.rule];
+            let ctx = ExecCtx::new(rule, job.plan, edb, idb, driver, self.domain, self.site);
+            let staged0: usize = staged.bufs.iter().map(Vec::len).sum();
+            let mut derived = 0u64;
+            ctx.run(budget, &mut |h, t| {
+                derived += 1;
+                staged.bufs[h].extend_from_slice(t);
+                staged.counts[h] += 1;
+                true
+            })?;
+            staged.derivations += derived;
+            let bytes = (staged.bufs.iter().map(Vec::len).sum::<usize>() - staged0) * ELEM_BYTES;
+            span.record_field("probes", ctx.probes.get());
+            span.record_field("derived", derived);
+            span.record_field("probe_allocs", ctx.probe_allocs.get());
+            span.record_field("arena_bytes", bytes as u64);
+        }
+        Ok(staged)
+    }
 }
 
 #[cfg(test)]

@@ -7,6 +7,19 @@
 //! caller's merge is deterministic regardless of which worker finished
 //! first. This module is that pattern, once.
 
+/// The worker count a `threads` setting asks for: `0` means automatic,
+/// `min(available_parallelism, 8)`; any other value is taken as given.
+/// Every parallel engine and the `--threads` flag resolve through here.
+pub fn resolve_threads(threads: usize) -> usize {
+    if threads != 0 {
+        return threads;
+    }
+    std::thread::available_parallelism()
+        .map(std::num::NonZero::get)
+        .unwrap_or(1)
+        .min(8)
+}
+
 /// Runs `worker` over `items` split into at most `threads` contiguous
 /// chunks, each on its own scoped thread, returning the per-chunk
 /// results in chunk order.
@@ -77,6 +90,13 @@ mod tests {
         });
         assert!(out.is_empty());
         assert_eq!(calls.load(Ordering::Relaxed), 0);
+    }
+
+    #[test]
+    fn zero_threads_resolves_to_the_automatic_count() {
+        let auto = resolve_threads(0);
+        assert!((1..=8).contains(&auto), "{auto}");
+        assert_eq!(resolve_threads(3), 3);
     }
 
     #[test]

@@ -77,10 +77,7 @@ pub fn try_mu_estimate(
 ) -> BudgetResult<f64> {
     assert!(f.is_sentence(), "mu requires a Boolean query");
     assert!(samples > 0);
-    let threads = std::thread::available_parallelism()
-        .map(|t| t.get().min(8))
-        .unwrap_or(1) as u32;
-    let threads = threads.min(samples);
+    let threads = (fmt_structures::par::resolve_threads(0) as u32).min(samples);
     let mut span = fmt_obs::trace_span!(
         "zeroone.mu_estimate",
         n = n,

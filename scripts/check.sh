@@ -4,22 +4,6 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-# Runs a timing gate, respawning it up to 5 times: per-process code/heap
-# layout moves hot-loop timings by a few percent, but a real regression
-# fails every spawn. Usage: retry_gate <label> <cmd...>
-retry_gate() {
-    local label=$1
-    shift
-    for attempt in 1 2 3 4 5; do
-        if "$@"; then
-            return 0
-        fi
-        echo "  (attempt $attempt hit an unlucky layout or noisy window; respawning)"
-    done
-    echo "$label gate failed on all attempts" >&2
-    exit 1
-}
-
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
@@ -119,9 +103,10 @@ printf 't(x,y) :- e(x,y).\nt(x,z) :- t(x,y), e(y,z).\n' > "$BENCH_DIR/tc.dl"
 "$FMTK" --trace "$BENCH_DIR/tc_path_512.trace.json" \
     datalog "$BENCH_DIR/tc_path_512.st" "$BENCH_DIR/tc.dl" > /dev/null
 # Runs in $BENCH_DIR, so the BENCH_datalog.json it writes never touches
-# the committed one.
-datalog_gates() { (cd "$BENCH_DIR" && ../release/datalog_bench tc_path_512.trace.json); }
-retry_gate "datalog" datalog_gates
+# the committed one. On a miss the binary respawns itself (up to 5
+# processes in all): per-process layout moves hot-loop timings by a few
+# percent, but a real regression fails every spawn.
+(cd "$BENCH_DIR" && ../release/datalog_bench tc_path_512.trace.json)
 
 if [[ "${RUN_BENCH:-0}" == "1" ]]; then
     echo "==> benches (RUN_BENCH=1)"

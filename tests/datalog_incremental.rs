@@ -339,3 +339,28 @@ fn wide_atoms_probe_through_the_heap_spill() {
     );
     assert!(!rt.query(reach).contains(&[0, 2]), "the retract cuts 0-1-2");
 }
+
+/// A from-scratch poll runs the batch engine's rounds: its
+/// initialization pass is the batch one (every rule on the pre-pass
+/// extents), so it propagates for exactly `iterations - 1` rounds and
+/// derives every batch fact once.
+#[test]
+fn rebuild_polls_run_the_batch_rounds() {
+    use fmt_core::structures::builders;
+    for (prog, s) in [
+        (Program::same_generation(), builders::full_binary_tree(4)),
+        (Program::transitive_closure(), builders::directed_path(20)),
+        (Program::transitive_closure(), builders::grid(4, 5)),
+    ] {
+        let batch = prog.eval_seminaive(&s);
+        let facts: u64 = (0..prog.num_idbs())
+            .map(|i| batch.relation(i).len() as u64)
+            .sum();
+        let stats = DatalogRuntime::from_structure(prog.clone(), &s)
+            .unwrap()
+            .poll();
+        assert!(stats.rebuilt);
+        assert_eq!(stats.rounds as usize, batch.iterations - 1, "rounds");
+        assert_eq!(stats.derived, facts, "derived");
+    }
+}

@@ -7,6 +7,8 @@
 //! `TRACE_LOCK` for its whole body.
 
 use fmt_core::queries::datalog::Program;
+use fmt_core::queries::incremental::DatalogRuntime;
+use fmt_core::queries::magic;
 use fmt_core::structures::budget::Budget;
 use fmt_core::structures::builders;
 use fmt_obs::trace;
@@ -103,6 +105,51 @@ fn parallel_rule_spans_match_serial_multiset() {
     let parallel = rule_multiset(3);
     assert!(!serial.is_empty());
     assert_eq!(serial, parallel);
+}
+
+/// A round driving fewer than 512 rows runs on the calling thread,
+/// whatever its job count: at 4 threads, a magic goal on a short path
+/// (three or four jobs per round) and a runtime's first poll record
+/// every `datalog.rule` span on the lane of the `datalog.eval` or
+/// `datalog.incr.poll` span that encloses it.
+#[test]
+fn small_rounds_run_on_the_calling_lane() {
+    let _g = locked();
+    let s = builders::directed_path(40);
+    let prog = Program::transitive_closure();
+    let goal = magic::parse_goal("tc(5, gy)?").expect("goal parses");
+    let mq = magic::rewrite(&prog, &goal).expect("goal rewrites");
+    let es = mq.prepare(&s);
+    trace::start();
+    mq.program
+        .try_eval_seminaive_with(&es, 4, &Budget::unlimited())
+        .expect("unlimited budget cannot exhaust");
+    let goal_trace = trace::stop();
+    let mut rt = DatalogRuntime::from_structure(prog, &s).expect("tc is negation-free");
+    rt.set_threads(4);
+    trace::start();
+    rt.poll();
+    let poll_trace = trace::stop();
+    for (t, root) in [
+        (&goal_trace, "datalog.eval"),
+        (&poll_trace, "datalog.incr.poll"),
+    ] {
+        let lane = t
+            .events
+            .iter()
+            .find(|e| e.name == root)
+            .unwrap_or_else(|| panic!("{root} span recorded"))
+            .lane;
+        let rules: Vec<_> = t
+            .events
+            .iter()
+            .filter(|e| e.name == "datalog.rule")
+            .collect();
+        assert!(!rules.is_empty(), "{root}: no datalog.rule spans");
+        for r in rules {
+            assert_eq!(r.lane, lane, "{root}: rule span off the calling lane");
+        }
+    }
 }
 
 /// Budget exhaustion is journaled as a `budget.exhausted` instant with
