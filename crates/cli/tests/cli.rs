@@ -161,6 +161,32 @@ fn datalog_engine_and_threads_flags() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown engine"));
 }
 
+/// A thread count past `par::MAX_THREADS` is clamped, not spawned or
+/// allocated for: on a 5-node path every round drives fewer than 512
+/// rows, so the run stays on the calling thread and matches one thread.
+#[test]
+fn datalog_threads_beyond_the_maximum_are_clamped() {
+    let s = write_temp("p5.st", "size: 5\nE(0,1)\nE(1,2)\nE(2,3)\nE(3,4)\n");
+    let prog = write_temp("tc5.dl", "tc(x,y) :- e(x,y). tc(x,z) :- e(x,y), tc(y,z).");
+    let run = |threads: &str| {
+        let out = fmtk()
+            .args(["datalog", s.to_str().unwrap(), prog.to_str().unwrap()])
+            .args(["--threads", threads])
+            .output()
+            .unwrap();
+        assert_eq!(
+            out.status.code(),
+            Some(0),
+            "--threads {threads}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        String::from_utf8_lossy(&out.stdout).into_owned()
+    };
+    let one = run("1");
+    assert!(one.contains("tc/2: 10 tuples"), "{one}");
+    assert_eq!(run(&usize::MAX.to_string()), one);
+}
+
 #[test]
 fn datalog_incremental_maintains_under_updates() {
     let s = write_temp("incr-seed.st", "size: 4\nE(0,1)\n");

@@ -31,12 +31,15 @@
 //! smallest-extent atom first) by the planner and kernel this engine
 //! shares with the incremental runtime, and bound-position lookups
 //! probe hash or sorted-prefix indexes from [`fmt_structures::index`]
-//! instead of rescanning extents. Every round — a stratum's
-//! initialization pass, a semi-naive delta round, a naive round — goes
-//! through the round runner shared with the runtime ([`Runner`]): it
-//! runs the round's rule applications, inline below 512 driver rows
-//! and hash-sharded across scoped workers above, then merges their
-//! staged output into the stores in a fixed order. IDB extents live in
+//! instead of rescanning extents. Both indexed engines are one
+//! fixpoint driver ([`Fixpoint`], shared with the runtime) over the
+//! input's sorted relations: the semi-naive engine runs each stratum
+//! through it (an initialization pass, then delta rounds planned once
+//! per `(rule, delta position)`), the naive engine repeats its
+//! driverless pass. Every round runs its rule applications inline
+//! below 512 driver rows and hash-sharded across scoped workers above,
+//! then merges their staged output into the stores in a fixed order
+//! ([`join::Runner`]). IDB extents live in
 //! columnar [`TupleStore`] arenas: the kernel walks `u32` row ids and
 //! per-column slices, a delta is the list of rows the last round
 //! appended, and the steady-state join loop performs no
@@ -47,13 +50,13 @@
 //! the old `HashSet<Vec<Elem>>` representation as a differential
 //! oracle.
 
-use crate::join::{self, Access, Edb, Job, Runner, Step};
+use crate::join::{Fixpoint, SortedEdb};
 use fmt_structures::budget::{Budget, BudgetResult, Exhausted};
-use fmt_structures::index::{ColumnIndex, TupleIndex};
+use fmt_structures::index::ColumnIndex;
 use fmt_structures::par::resolve_threads;
 use fmt_structures::store::TupleStore;
-use fmt_structures::{Elem, Interner, RelId, Relation, Signature, Span, Structure};
-use std::collections::{HashMap, HashSet};
+use fmt_structures::{Elem, Interner, RelId, Signature, Span, Structure};
+use std::collections::HashSet;
 use std::sync::Arc;
 
 /// Budget tick site label shared by all three Datalog engines.
@@ -115,7 +118,8 @@ pub struct Program {
     sig: std::sync::Arc<Signature>,
     idb_names: Vec<String>,
     idb_arity: Vec<usize>,
-    rules: Vec<Rule>,
+    /// Shared with every [`Fixpoint`] evaluating the program.
+    pub(crate) rules: Arc<[Rule]>,
 }
 
 /// The result of evaluating a program: one tuple set per IDB predicate,
@@ -587,7 +591,7 @@ impl Program {
                 sig: sig.clone(),
                 idb_names,
                 idb_arity,
-                rules,
+                rules: rules.into(),
             },
             spans,
             var_names,
@@ -610,7 +614,7 @@ impl Program {
             sig,
             idb_names,
             idb_arity,
-            rules,
+            rules: rules.into(),
         }
     }
 
@@ -709,7 +713,7 @@ impl Program {
         );
     }
 
-    fn new_store(&self) -> Vec<IdbStore> {
+    pub(crate) fn new_store(&self) -> Vec<IdbStore> {
         self.idb_arity.iter().map(|&a| IdbStore::new(a)).collect()
     }
 
@@ -735,21 +739,17 @@ impl Program {
     pub fn try_eval_naive(&self, s: &Structure, budget: &Budget) -> Result<Output, EvalError> {
         self.check_structure(s);
         let strata = self.eval_strata()?;
-        let mut eval_span =
+        let eval_span =
             fmt_obs::trace_span!("datalog.eval", engine = "naive", rules = self.rules.len());
-        let runner = self.runner(s, 1);
-        let mut store = self.new_store();
-        let mut edb = EdbCache::new(s);
-        let mut iterations = 0;
+        let mut fx = Fixpoint::new(self, SortedEdb::new(s), s.size(), 1, AT);
         let mut derivations = 0u64;
         let mut delta_history = Vec::new();
         for rules_in in &strata {
             loop {
-                iterations += 1;
                 OBS_NAIVE_ROUNDS.incr();
-                let mut round_span = fmt_obs::trace_span!("datalog.round", round = iterations);
-                let (new, derived) =
-                    self.full_pass(&runner, iterations, rules_in, &mut edb, &mut store, budget)?;
+                let mut round_span =
+                    fmt_obs::trace_span!("datalog.round", round = delta_history.len() + 1);
+                let (new, derived) = fx.pass(rules_in, budget)?;
                 derivations += derived;
                 let added = new.iter().map(Vec::len).sum::<usize>() as u64;
                 delta_history.push(added);
@@ -759,14 +759,7 @@ impl Program {
                 }
             }
         }
-        eval_span.record_field("rounds", iterations);
-        eval_span.record_field("derivations", derivations);
-        Ok(Output {
-            relations: store.into_iter().map(|r| r.store).collect(),
-            iterations,
-            derivations,
-            delta_history,
-        })
+        Ok(output(fx, eval_span, derivations, delta_history))
     }
 
     /// Semi-naive evaluation with the indexed, join-ordered, parallel
@@ -804,148 +797,30 @@ impl Program {
         self.check_structure(s);
         let strata = self.eval_strata()?;
         let threads = resolve_threads(threads);
-        let mut eval_span = fmt_obs::trace_span!(
+        let eval_span = fmt_obs::trace_span!(
             "datalog.eval",
             engine = "indexed",
             rules = self.rules.len(),
             threads = threads
         );
-        let runner = self.runner(s, threads);
-        let mut store = self.new_store();
-        let mut edb = EdbCache::new(s);
+        let mut fx = Fixpoint::new(self, SortedEdb::new(s), s.size(), threads, AT);
         let mut derivations = 0u64;
         let mut delta_history: Vec<u64> = Vec::new();
-        let mut iterations = 0usize;
-        // Plans are cached per (rule, delta position) for the whole
-        // evaluation; the indexes they probe are kept current by the
-        // per-round merge, so re-planning each round buys nothing.
-        let mut plans: Vec<Vec<Step>> = Vec::new();
-        let mut plan_of: HashMap<(usize, usize), usize> = HashMap::new();
-
+        // Each stratum's initialization pass joins its rules over the
+        // completed lower strata (and its own still-empty heads); its
+        // new rows are the first delta. Lower-stratum extents stop
+        // growing once their stratum completes, so they never drive a
+        // job again.
         for rules_in in &strata {
-            // Stratum initialization: this stratum's rules on the full
-            // extents of the completed lower strata (and the empty
-            // extents of its own heads; on a negation-free program this
-            // is exactly the old all-rules-on-empty-IDB pass). The new
-            // rows are the first delta; lower-stratum extents stop
-            // growing once their stratum completes, so their deltas
-            // stay empty and never spawn jobs again.
-            iterations += 1;
-            let init_span = fmt_obs::trace_span!("datalog.init");
-            let (mut delta, derived) =
-                self.full_pass(&runner, iterations, rules_in, &mut edb, &mut store, budget)?;
-            drop(init_span);
-            derivations += derived;
-            let initial_facts = delta.iter().map(Vec::len).sum::<usize>() as u64;
-            OBS_ROUNDS.incr();
-            OBS_DELTA_FACTS.add(initial_facts);
-            OBS_DELTA_SIZE.record(initial_facts);
-            delta_history.push(initial_facts);
-
-            while delta.iter().any(|d| !d.is_empty()) {
-                iterations += 1;
-                OBS_ROUNDS.incr();
-                let total_delta: usize = delta.iter().map(Vec::len).sum();
-                let mut round_span =
-                    fmt_obs::trace_span!("datalog.round", round = iterations, delta = total_delta);
-                // One job per (rule, positive IDB body position) with a
-                // nonempty delta; plan on first sight, then build every
-                // index the plan needs so the runner can share the
-                // caches immutably.
-                let plan_span = fmt_obs::trace_span!("datalog.plan");
-                let keys = join::delta_jobs(&self.rules, rules_in.iter().copied(), |p| match p {
-                    Pred::Idb(j) => delta[j].as_slice(),
-                    Pred::Edb(_) => &[],
-                });
-                let pis: Vec<usize> = keys
-                    .iter()
-                    .map(|&(ri, pos, _)| {
-                        *plan_of.entry((ri, pos)).or_insert_with(|| {
-                            let rule = &self.rules[ri];
-                            let mut plan =
-                                join::plan(rule, Some(pos), &[], &|a| extent_len(&edb, &store, a));
-                            ensure_plan_indexes(&mut plan, rule, &mut edb, &mut store);
-                            plans.push(plan);
-                            plans.len() - 1
-                        })
-                    })
-                    .collect();
-                let jobs: Vec<Job> = keys
-                    .iter()
-                    .zip(&pis)
-                    .map(|(&(rule, pos, driver), &pi)| Job {
-                        rule,
-                        pos: Some(pos),
-                        plan: &plans[pi],
-                        driver,
-                    })
-                    .collect();
-                drop(plan_span);
-                let views = edb.views();
-                let edb_view = Edb::Sorted(&edb.rels, &views);
-                let (new, derived) = runner.run(iterations, edb_view, &jobs, &mut store, budget)?;
+            fx.stratum(rules_in, budget, &mut |new, derived| {
                 derivations += derived;
-                let new_facts = new.iter().map(Vec::len).sum::<usize>() as u64;
-                OBS_DELTA_FACTS.add(new_facts);
-                OBS_DELTA_SIZE.record(new_facts);
-                delta_history.push(new_facts);
-                round_span.record_field("new", new_facts);
-                delta = new;
-            }
+                OBS_ROUNDS.incr();
+                OBS_DELTA_FACTS.add(new);
+                OBS_DELTA_SIZE.record(new);
+                delta_history.push(new);
+            })?;
         }
-        eval_span.record_field("rounds", iterations);
-        eval_span.record_field("derivations", derivations);
-        Ok(Output {
-            relations: store.into_iter().map(|r| r.store).collect(),
-            iterations,
-            derivations,
-            delta_history,
-        })
-    }
-
-    /// The round runner of one batch evaluation of `s`.
-    fn runner(&self, s: &Structure, threads: usize) -> Runner<'_> {
-        Runner {
-            rules: &self.rules,
-            domain: s.size(),
-            threads,
-            site: AT,
-        }
-    }
-
-    /// One driverless round: every rule of `rules_in`, planned afresh,
-    /// on the full extents — a stratum's initialization pass, and each
-    /// round of the naive engine.
-    fn full_pass(
-        &self,
-        runner: &Runner<'_>,
-        round: usize,
-        rules_in: &[usize],
-        edb: &mut EdbCache<'_>,
-        store: &mut [IdbStore],
-        budget: &Budget,
-    ) -> BudgetResult<(Vec<Vec<u32>>, u64)> {
-        let plans: Vec<Vec<Step>> = rules_in
-            .iter()
-            .map(|&ri| {
-                let rule = &self.rules[ri];
-                let mut plan = join::plan(rule, None, &[], &|a| extent_len(edb, store, a));
-                ensure_plan_indexes(&mut plan, rule, edb, store);
-                plan
-            })
-            .collect();
-        let jobs: Vec<Job> = rules_in
-            .iter()
-            .zip(&plans)
-            .map(|(&rule, plan)| Job {
-                rule,
-                pos: None,
-                plan,
-                driver: &[],
-            })
-            .collect();
-        let views = edb.views();
-        runner.run(round, Edb::Sorted(&edb.rels, &views), &jobs, store, budget)
+        Ok(output(fx, eval_span, derivations, delta_history))
     }
 
     /// Semi-naive evaluation by the original written-order nested-loop
@@ -1260,10 +1135,6 @@ impl IdbStore {
         }
     }
 
-    fn len(&self) -> usize {
-        self.store.len()
-    }
-
     pub(crate) fn ensure_index(&mut self, key: &[usize]) {
         if self.indexes.iter().any(|(k, _)| k == key) {
             return;
@@ -1278,7 +1149,7 @@ impl IdbStore {
             .indexes
             .iter()
             .find(|(k, _)| k == key)
-            .expect("index was built by ensure_plan_indexes")
+            .expect("index was prepared when its plan was made")
             .1
     }
 
@@ -1288,49 +1159,6 @@ impl IdbStore {
         for (_, idx) in &mut self.indexes {
             idx.extend(&self.store);
         }
-    }
-}
-
-/// The EDB of one batch evaluation: the input's relations, and handles
-/// to the hash indexes its plans probe. Each relation builds an index
-/// once and caches it ([`fmt_structures::Relation::index`]), so goal
-/// after goal on one input builds none again. Plans address an index
-/// by its slot here ([`Access::ProbeIndex`]). The kernel reads both
-/// through plain references ([`Edb::Sorted`]), so its probes
-/// dereference no `Arc`.
-#[derive(Debug)]
-struct EdbCache<'s> {
-    /// `s.rel(r)` for every relation, indexed by `RelId.0`.
-    rels: Vec<&'s Relation>,
-    slots: Vec<(RelId, Arc<TupleIndex>)>,
-}
-
-impl<'s> EdbCache<'s> {
-    fn new(s: &'s Structure) -> EdbCache<'s> {
-        EdbCache {
-            rels: (0..s.signature().num_relations())
-                .map(|r| s.rel(RelId(r)))
-                .collect(),
-            slots: Vec::new(),
-        }
-    }
-
-    /// The slot of `r`'s index on `key`, fetched on first use.
-    fn slot(&mut self, r: RelId, key: &[usize]) -> usize {
-        if let Some(i) = self
-            .slots
-            .iter()
-            .position(|(q, idx)| *q == r && idx.key() == key)
-        {
-            return i;
-        }
-        self.slots.push((r, self.rels[r.0].index(key)));
-        self.slots.len() - 1
-    }
-
-    /// The slots as plain references, taken once per rule application.
-    fn views(&self) -> Vec<&TupleIndex> {
-        self.slots.iter().map(|(_, idx)| &**idx).collect()
     }
 }
 
@@ -1350,36 +1178,22 @@ pub(crate) fn head_idb(rule: &Rule) -> usize {
     }
 }
 
-/// The extent size [`join::plan`] breaks ties by in batch evaluation.
-fn extent_len(edb: &EdbCache<'_>, store: &[IdbStore], atom: &Atom) -> usize {
-    match atom.pred {
-        Pred::Edb(r) => edb.rels[r.0].len(),
-        Pred::Idb(j) => store[j].len(),
-    }
-}
-
-/// Builds every index a plan will probe, so execution can share the
-/// caches immutably (and across worker threads). A probe on the bound
-/// prefix `0..k` of an EDB atom needs no index at all — the relation's
-/// rows are sorted — so it becomes an [`Access::ProbePrefix`]; any
-/// other EDB probe becomes an [`Access::ProbeIndex`] into `edb`.
-fn ensure_plan_indexes(
-    plan: &mut [Step],
-    rule: &Rule,
-    edb: &mut EdbCache<'_>,
-    store: &mut [IdbStore],
-) {
-    for step in plan {
-        let Access::Probe(key) = &step.access else {
-            continue;
-        };
-        match rule.body[step.atom].pred {
-            Pred::Edb(_) if key.iter().enumerate().all(|(i, &p)| i == p) => {
-                step.access = Access::ProbePrefix(key.len());
-            }
-            Pred::Edb(r) => step.access = Access::ProbeIndex(edb.slot(r, key)),
-            Pred::Idb(j) => store[j].ensure_index(key),
-        }
+/// The [`Output`] of an indexed evaluation: the driver's IDB stores
+/// and the per-round counts, recorded on its `datalog.eval` span.
+fn output<E>(
+    fx: Fixpoint<E>,
+    mut eval_span: fmt_obs::trace::SpanGuard,
+    derivations: u64,
+    delta_history: Vec<u64>,
+) -> Output {
+    let iterations = delta_history.len();
+    eval_span.record_field("rounds", iterations);
+    eval_span.record_field("derivations", derivations);
+    Output {
+        relations: fx.idb.into_iter().map(|r| r.store).collect(),
+        iterations,
+        derivations,
+        delta_history,
     }
 }
 
@@ -1443,7 +1257,16 @@ fn emit_head_scan(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::join::{self, Access, EdbSource};
     use fmt_structures::builders;
+
+    /// Batch evaluation's extent sizes before any IDB row is derived.
+    fn initial_extent(s: &Structure) -> impl Fn(&Atom) -> usize + '_ {
+        |a| match a.pred {
+            Pred::Edb(r) => s.rel(r).len(),
+            Pred::Idb(_) => 0,
+        }
+    }
 
     #[test]
     fn tc_program_matches_reference() {
@@ -1822,11 +1645,7 @@ mod tests {
         )
         .unwrap();
         let s = builders::directed_path(4);
-        let store = prog.new_store();
-        let edb = EdbCache::new(&s);
-        let plan = join::plan(&prog.rules()[0], None, &[], &|a| {
-            extent_len(&edb, &store, a)
-        });
+        let plan = join::plan(&prog.rules()[0], None, &[], &initial_extent(&s));
         // The NegCheck on `!e(y, y)` lands right after the first step
         // binds y — before the second positive edge atom is joined.
         let neg_step = plan
@@ -1844,26 +1663,22 @@ mod tests {
         // turns into prefix probes.
         let prog = Program::same_generation();
         let s = builders::full_binary_tree(3);
-        let mut store = prog.new_store();
-        let mut edb = EdbCache::new(&s);
+        let mut edb = join::SortedEdb::new(&s);
         let rule = &prog.rules()[1];
-        let mut plan = join::plan(rule, Some(2), &[], &|a| extent_len(&edb, &store, a));
+        let plan = join::plan(rule, Some(2), &[], &initial_extent(&s));
         assert_eq!(plan[0].atom, 2);
         assert_eq!(plan[0].access, Access::ScanDelta);
         for step in &plan[1..] {
             assert_eq!(step.access, Access::Probe(vec![0]));
-        }
-        ensure_plan_indexes(&mut plan, rule, &mut edb, &mut store);
-        for step in &plan[1..] {
             assert_eq!(
-                step.access,
+                edb.prepare(RelId(0), &[0]),
                 Access::ProbePrefix(1),
                 "edge atoms probe on their bound parent"
             );
         }
         // Without a driver nothing is bound at first: the smallest
         // extent leads (the empty IDB extent beats the edge relation).
-        let plan = join::plan(rule, None, &[], &|a| extent_len(&edb, &store, a));
+        let plan = join::plan(rule, None, &[], &initial_extent(&s));
         assert_eq!(plan[0].atom, 2);
         assert_eq!(plan[0].access, Access::Scan);
     }

@@ -5,11 +5,11 @@
 //!
 //! The maintenance algorithm is the classical pair:
 //!
-//! * **insertions** run the delta-rewritten program: every rule is
-//!   re-planned with the batch engine's greedy planner once per
-//!   `(rule, delta position)` and driven by the row ids appended (or
-//!   revived) since the last round, joining the other body atoms
-//!   against the full current extents;
+//! * **insertions** run the delta-rewritten program through the batch
+//!   engine's fixpoint driver ([`Fixpoint::saturate`]): every rule is
+//!   planned once per `(rule, delta position)` and driven by the row
+//!   ids appended (or revived) since the last round, joining the other
+//!   body atoms against the full current extents;
 //! * **retractions** run DRed (delete–rederive): an over-deletion pass
 //!   applies the same delta rules with the retracted facts as drivers
 //!   against the *pre-deletion* extents, marking every fact with a
@@ -26,14 +26,18 @@
 //! index is rebuilt on the maintenance path (compaction, which does
 //! invalidate ids, runs only between polls once tombstones dominate).
 //!
-//! A budget-exhausted poll leaves the stores half-maintained; the
-//! runtime remembers this and the next poll falls back to a
-//! from-scratch rebuild, so exhaustion is recoverable and — for a fixed
+//! The driver owns the EDB and IDB stores and the one plan cache that
+//! propagation, over-deletion and the support check share. A from-
+//! scratch rebuild is the batch engine's stratum pass on that driver,
+//! round for round. A budget-exhausted poll leaves the stores
+//! half-maintained; the runtime remembers this and the next poll falls
+//! back to a rebuild, so exhaustion is recoverable and — for a fixed
 //! operation sequence at one thread — deterministic. Work is metered
-//! under `queries.incr.*` and traced as `datalog.incr.*` spans.
+//! under `queries.incr.*` and traced as `datalog.incr.*` spans around
+//! the driver's `datalog.init` / `datalog.round` spans.
 
-use crate::datalog::{head_idb, rule_num_vars, Atom, IdbStore, Pred, Program};
-use crate::join::{self, exec, Access, Edb, ExecCtx, Job, Runner, Step};
+use crate::datalog::{head_idb, IdbStore, Pred, Program};
+use crate::join::{self, Fixpoint, PlanKey};
 use fmt_structures::budget::{Budget, BudgetResult};
 use fmt_structures::index::ColumnIndex;
 use fmt_structures::par::resolve_threads;
@@ -60,30 +64,6 @@ static OBS_REDERIVED: fmt_obs::Counter = fmt_obs::Counter::new("queries.incr.red
 static OBS_ROUNDS: fmt_obs::Counter = fmt_obs::Counter::new("queries.incr.rounds");
 /// From-scratch rebuilds (first poll, or recovery after exhaustion).
 static OBS_REBUILDS: fmt_obs::Counter = fmt_obs::Counter::new("queries.incr.rebuilds");
-
-/// Key of the per-rule plan cache. Mirrors the batch engine's
-/// per-(rule, pos) cache, extended with the two driverless shapes the
-/// maintenance loop needs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum PlanKey {
-    /// Delta-driven: body position `pos` iterates the delta rows.
-    Driver { rule: usize, pos: usize },
-    /// No driver, nothing pre-bound: the rebuild initialization pass.
-    Init { rule: usize },
-    /// No driver, head variables pre-bound: the DRed remaining-support
-    /// check.
-    Goal { rule: usize },
-}
-
-impl PlanKey {
-    /// The rule, and the driven body position if any.
-    fn rule_pos(self) -> (usize, Option<usize>) {
-        match self {
-            PlanKey::Driver { rule, pos } => (rule, Some(pos)),
-            PlanKey::Init { rule } | PlanKey::Goal { rule } => (rule, None),
-        }
-    }
-}
 
 /// What one [`DatalogRuntime::poll`] did, in fact counts.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -159,16 +139,11 @@ impl std::error::Error for UnsupportedNegation {}
 #[derive(Debug)]
 pub struct DatalogRuntime {
     program: Program,
-    domain: u32,
-    threads: usize,
-    /// One columnar extent per signature relation, indexed by `RelId.0`.
-    edb: Vec<IdbStore>,
-    /// One columnar extent per IDB predicate.
-    idb: Vec<IdbStore>,
+    /// The fixpoint driver: one columnar extent per signature relation
+    /// (indexed by `RelId.0`) and per IDB predicate, and the plans.
+    fx: Fixpoint<Vec<IdbStore>>,
     /// Rule indices grouped by head IDB (the rederivation worklist).
     rules_by_head: Vec<Vec<usize>>,
-    plans: Vec<Vec<Step>>,
-    plan_of: HashMap<PlanKey, usize>,
     pending: Vec<PendingOp>,
     /// `true` while the materialization may not match the fact base: on
     /// creation, and after a budget-exhausted poll left the stores
@@ -197,27 +172,18 @@ impl DatalogRuntime {
                 }
             }
         }
-        let sig = program.signature().clone();
-        let edb = sig
-            .relations()
+        let edb = (program.signature().relations())
             .map(|(_, _, arity)| IdbStore::new(arity))
             .collect();
-        let idb = (0..program.num_idbs())
-            .map(|j| IdbStore::new(program.idb_info(j).1))
-            .collect();
+        let fx = Fixpoint::new(&program, edb, domain_size, 1, AT);
         let mut rules_by_head = vec![Vec::new(); program.num_idbs()];
         for (ri, rule) in program.rules().iter().enumerate() {
             rules_by_head[head_idb(rule)].push(ri);
         }
         Ok(DatalogRuntime {
             program,
-            domain: domain_size,
-            threads: 1,
-            edb,
-            idb,
+            fx,
             rules_by_head,
-            plans: Vec::new(),
-            plan_of: HashMap::new(),
             pending: Vec::new(),
             dirty: true,
         })
@@ -252,13 +218,13 @@ impl DatalogRuntime {
 
     /// The domain size `n` fixed at construction.
     pub fn domain_size(&self) -> u32 {
-        self.domain
+        self.fx.runner.domain
     }
 
     /// Worker threads used by rebuild and propagation rounds (1 =
     /// inline).
     pub fn threads(&self) -> usize {
-        self.threads
+        self.fx.runner.threads
     }
 
     /// Sets the worker-thread count, `0` meaning automatic
@@ -266,7 +232,7 @@ impl DatalogRuntime {
     /// poll is the same at any thread count; budget exhaustion points
     /// are deterministic only at one thread.
     pub fn set_threads(&mut self, threads: usize) {
-        self.threads = resolve_threads(threads);
+        self.fx.runner.threads = resolve_threads(threads);
     }
 
     /// Queued updates not yet applied by a poll.
@@ -307,9 +273,9 @@ impl DatalogRuntime {
             self.program.signature().relation_name(rel)
         );
         assert!(
-            t.iter().all(|&v| v < self.domain),
+            t.iter().all(|&v| v < self.domain_size()),
             "tuple values must lie in the domain 0..{}",
-            self.domain
+            self.domain_size()
         );
     }
 
@@ -318,13 +284,13 @@ impl DatalogRuntime {
     /// only under [`TupleStore::iter`]/[`PartialEq`]; tombstoned rows
     /// may linger in the arenas until compaction.
     pub fn query(&self, idb: usize) -> &TupleStore {
-        &self.idb[idb].store
+        &self.fx.idb[idb].store
     }
 
     /// The current extent of EDB relation `rel` (as of the last
     /// successful poll).
     pub fn edb(&self, rel: RelId) -> &TupleStore {
-        &self.edb[rel.0].store
+        &self.fx.edb[rel.0].store
     }
 
     /// Applies all pending updates and restores the fixpoint,
@@ -362,7 +328,7 @@ impl DatalogRuntime {
         }
         self.pending.clear();
         self.dirty = false;
-        for r in self.edb.iter_mut().chain(self.idb.iter_mut()) {
+        for r in self.fx.edb.iter_mut().chain(self.fx.idb.iter_mut()) {
             compact_if_mostly_dead(r);
         }
         OBS_POLLS.incr();
@@ -376,8 +342,9 @@ impl DatalogRuntime {
         Ok(stats)
     }
 
-    /// From-scratch path: apply the net updates to the EDB, clear the
-    /// IDB, run the batch-style initialization pass, then propagate.
+    /// From-scratch path: apply the net updates to the EDB, drop the
+    /// IDB stores and the plans, then run the batch engine's stratum
+    /// pass over every rule.
     fn rebuild(
         &mut self,
         order: &[(RelId, Vec<Elem>)],
@@ -387,39 +354,32 @@ impl DatalogRuntime {
     ) -> BudgetResult<()> {
         OBS_REBUILDS.incr();
         stats.rebuilt = true;
+        let edb = &mut self.fx.edb;
         for (rel, t) in order {
             if last[&(rel.0, t.clone())] {
-                if self.edb[rel.0].store.push_if_new(t).is_some() {
+                if edb[rel.0].store.push_if_new(t).is_some() {
                     stats.inserted += 1;
                 }
-            } else if self.edb[rel.0].store.remove(t).is_some() {
+            } else if edb[rel.0].store.remove(t).is_some() {
                 stats.retracted += 1;
             }
         }
-        for r in &mut self.edb {
+        for r in edb.iter_mut() {
             r.extend_indexes();
         }
-        for (j, r) in self.idb.iter_mut().enumerate() {
-            *r = IdbStore::new(self.program.idb_info(j).1);
-        }
-        // Goal/driver plans survive (access shapes stay valid); any
-        // index they reference is re-created lazily by ensure_indexes.
-        // The initialization pass is the batch engine's: every rule,
-        // driverless, on the pre-pass extents.
-        let span = fmt_obs::trace_span!("datalog.incr.init");
-        let keys: Vec<(PlanKey, &[u32])> = (0..self.program.rules().len())
-            .map(|rule| (PlanKey::Init { rule }, &[][..]))
-            .collect();
-        let idb_delta = self.run_round(0, &keys, budget)?;
-        drop(span);
-        stats.derived += idb_delta.iter().map(|d| d.len() as u64).sum::<u64>();
+        self.fx.restart();
+        let all: Vec<usize> = (0..self.program.rules().len()).collect();
+        // The initialization pass counts as a derivation round but not
+        // as a propagation round.
+        let mut passes = 0;
+        self.fx.stratum(&all, budget, &mut |new, _| {
+            passes += 1;
+            stats.derived += new;
+        })?;
+        stats.rounds += passes - 1;
+        OBS_ROUNDS.add(passes - 1);
         OBS_DERIVED.add(stats.derived);
-        let edb_delta = vec![Vec::new(); self.edb.len()];
-        // The init pass joined full EDB extents already, so only IDB
-        // deltas need driving — but rules with *only* EDB bodies fired
-        // completely during init too, which is exactly why the EDB
-        // delta is empty here.
-        self.propagate(edb_delta, idb_delta, budget, stats)
+        Ok(())
     }
 
     /// Incremental path: DRed retraction (overdelete, tombstone,
@@ -436,7 +396,7 @@ impl DatalogRuntime {
         let mut to_insert: Vec<(RelId, Vec<Elem>)> = Vec::new();
         for (rel, t) in order {
             let add = last[&(rel.0, t.clone())];
-            let present = self.edb[rel.0].store.contains(t);
+            let present = self.fx.edb[rel.0].store.contains(t);
             if add && !present {
                 to_insert.push((*rel, t.clone()));
             } else if !add && present {
@@ -444,22 +404,23 @@ impl DatalogRuntime {
             }
         }
 
-        let mut revived_delta: Vec<Vec<u32>> = vec![Vec::new(); self.idb.len()];
+        let mut revived_delta: Vec<Vec<u32>> = vec![Vec::new(); self.fx.idb.len()];
         if !to_retract.is_empty() {
             let over = self.overdelete(&to_retract, budget, stats)?;
             self.rederive(&over, &mut revived_delta, budget, stats)?;
         }
 
-        let mut edb_delta: Vec<Vec<u32>> = vec![Vec::new(); self.edb.len()];
+        let mut edb_delta: Vec<Vec<u32>> = vec![Vec::new(); self.fx.edb.len()];
         if !to_insert.is_empty() {
             let span = fmt_obs::trace_span!("datalog.incr.insert", facts = to_insert.len());
+            let edb = &mut self.fx.edb;
             for (rel, t) in &to_insert {
-                if let Some(row) = self.edb[rel.0].store.push_if_new(t) {
+                if let Some(row) = edb[rel.0].store.push_if_new(t) {
                     edb_delta[rel.0].push(row);
                     stats.inserted += 1;
                 }
             }
-            for r in &mut self.edb {
+            for r in edb.iter_mut() {
                 r.extend_indexes();
             }
             drop(span);
@@ -477,49 +438,50 @@ impl DatalogRuntime {
         stats: &mut PollStats,
     ) -> BudgetResult<Vec<Vec<u32>>> {
         let mut span = fmt_obs::trace_span!("datalog.incr.retract", facts = to_retract.len());
-        let mut edb_delta: Vec<Vec<u32>> = vec![Vec::new(); self.edb.len()];
+        let (edb, idb) = (&self.fx.edb, &self.fx.idb);
+        let mut edb_delta: Vec<Vec<u32>> = vec![Vec::new(); edb.len()];
         for (rel, t) in to_retract {
-            let row = self.edb[rel.0]
+            let row = edb[rel.0]
                 .store
                 .find(t)
                 .expect("to_retract holds present tuples");
             edb_delta[rel.0].push(row);
         }
-        let mut over: Vec<Vec<u32>> = vec![Vec::new(); self.idb.len()];
-        let mut marked: Vec<Vec<bool>> = self
-            .idb
+        let mut over: Vec<Vec<u32>> = vec![Vec::new(); idb.len()];
+        let mut marked: Vec<Vec<bool>> = idb
             .iter()
             .map(|r| vec![false; r.store.rows32() as usize])
             .collect();
-        let mut idb_delta: Vec<Vec<u32>> = vec![Vec::new(); self.idb.len()];
+        let mut idb_delta: Vec<Vec<u32>> = vec![Vec::new(); idb.len()];
+        let rules = self.program.rules();
         loop {
             stats.rounds += 1;
             OBS_ROUNDS.incr();
-            let jobs = self.delta_jobs(&edb_delta, &idb_delta);
+            let jobs = join::delta_jobs(rules, 0..rules.len(), |p| match p {
+                Pred::Edb(r) => edb_delta[r.0].as_slice(),
+                Pred::Idb(j) => idb_delta[j].as_slice(),
+            });
             if jobs.is_empty() {
                 break;
             }
-            let mut next_delta: Vec<Vec<u32>> = vec![Vec::new(); self.idb.len()];
-            for &(key, driver) in &jobs {
-                let (ri, _) = key.rule_pos();
-                let pi = self.plan_for(key);
-                let ctx = self.ctx(ri, pi, driver);
-                let h = ctx.head_idb;
-                let head_store = &self.idb[h].store;
-                let marks = &mut marked[h];
-                let fresh = &mut next_delta[h];
-                ctx.run(budget, &mut |_, t| {
-                    // Every emitted head had a derivation over the old
-                    // extents, so it is in the old fixpoint; mark it
-                    // for deletion once.
-                    if let Some(row) = head_store.find(t) {
-                        if !marks[row as usize] {
-                            marks[row as usize] = true;
-                            fresh.push(row);
+            let mut next_delta: Vec<Vec<u32>> = vec![Vec::new(); idb_delta.len()];
+            for (rule, pos, driver) in jobs {
+                let h = head_idb(&rules[rule]);
+                let (marks, fresh) = (&mut marked[h], &mut next_delta[h]);
+                let key = PlanKey::Driver { rule, pos };
+                self.fx
+                    .exec_with(key, driver, &[], budget, &mut |head, t| {
+                        // Every emitted head had a derivation over the old
+                        // extents, so it is in the old fixpoint; mark it
+                        // for deletion once.
+                        if let Some(row) = head.find(t) {
+                            if !marks[row as usize] {
+                                marks[row as usize] = true;
+                                fresh.push(row);
+                            }
                         }
-                    }
-                    true
-                })?;
+                        true
+                    })?;
             }
             for r in &mut edb_delta {
                 r.clear();
@@ -537,13 +499,13 @@ impl DatalogRuntime {
         // Mutate only now that the over-deletion fixpoint is done: the
         // passes above must join against the *pre-deletion* extents.
         for (rel, t) in to_retract {
-            if self.edb[rel.0].store.remove(t).is_some() {
+            if self.fx.edb[rel.0].store.remove(t).is_some() {
                 stats.retracted += 1;
             }
         }
         for (j, rows) in over.iter().enumerate() {
             for &row in rows {
-                self.idb[j].store.remove_row(row);
+                self.fx.idb[j].store.remove_row(row);
             }
             stats.overdeleted += rows.len() as u64;
         }
@@ -571,10 +533,10 @@ impl DatalogRuntime {
         let mut tuple = Vec::new();
         for (j, rows) in over.iter().enumerate() {
             for &row in rows {
-                self.idb[j].store.read_row_into(row, &mut tuple);
+                self.fx.idb[j].store.read_row_into(row, &mut tuple);
                 let t = std::mem::take(&mut tuple);
                 if self.derivable(j, &t, budget)? {
-                    let revived = self.idb[j]
+                    let revived = self.fx.idb[j]
                         .store
                         .push_if_new(&t)
                         .expect("over-deleted rows are dead, so re-insertion revives");
@@ -593,184 +555,34 @@ impl DatalogRuntime {
     /// `true` iff some rule with head `idb` derives `t` from the
     /// current live extents (the remaining-support test of DRed).
     fn derivable(&mut self, idb: usize, t: &[Elem], budget: &Budget) -> BudgetResult<bool> {
-        for ri_i in 0..self.rules_by_head[idb].len() {
-            let ri = self.rules_by_head[idb][ri_i];
-            let pi = self.plan_for(PlanKey::Goal { rule: ri });
-            let rule = &self.program.rules()[ri];
-            let mut binding = vec![None; rule_num_vars(rule)];
-            let mut consistent = true;
-            for (&v, &e) in rule.head.args.iter().zip(t.iter()) {
-                match binding[v as usize] {
-                    Some(b) if b != e => {
-                        consistent = false;
-                        break;
-                    }
-                    _ => binding[v as usize] = Some(e),
-                }
-            }
-            if !consistent {
-                continue;
-            }
+        for &rule in &self.rules_by_head[idb] {
             // The first witness suffices: `emit` stops the join, and
             // the kernel reports the stop as `Ok(false)`.
-            if !exec(
-                &self.ctx(ri, pi, &[]),
-                0,
-                &mut binding,
-                budget,
-                &mut |_, _| false,
-            )? {
+            let key = PlanKey::Goal { rule };
+            if !self.fx.exec_with(key, &[], t, budget, &mut |_, _| false)? {
                 return Ok(true);
             }
         }
         Ok(false)
     }
 
-    /// Semi-naive propagation of the delta-rewritten program: every
-    /// `(rule, delta position)` with a nonempty delta becomes a job
-    /// (EDB deltas drive the first round only), and each round goes
-    /// through the shared runner. New and revived rows form the next
-    /// round's deltas.
+    /// Semi-naive propagation of the delta-rewritten program through
+    /// the driver, from the EDB insertions and the revived IDB rows.
     fn propagate(
         &mut self,
-        mut edb_delta: Vec<Vec<u32>>,
-        mut idb_delta: Vec<Vec<u32>>,
+        edb_delta: Vec<Vec<u32>>,
+        idb_delta: Vec<Vec<u32>>,
         budget: &Budget,
         stats: &mut PollStats,
     ) -> BudgetResult<()> {
-        while edb_delta.iter().any(|d| !d.is_empty()) || idb_delta.iter().any(|d| !d.is_empty()) {
-            stats.rounds += 1;
-            OBS_ROUNDS.incr();
-            let jobs = self.delta_jobs(&edb_delta, &idb_delta);
-            let span = fmt_obs::trace_span!("datalog.incr.round", jobs = jobs.len());
-            let next = self.run_round(stats.rounds as usize, &jobs, budget)?;
-            drop(span);
-            let derived = next.iter().map(|d| d.len() as u64).sum::<u64>();
-            stats.derived += derived;
-            OBS_DERIVED.add(derived);
-            edb_delta.iter_mut().for_each(Vec::clear);
-            idb_delta = next;
-        }
-        Ok(())
-    }
-
-    /// The delta-driven jobs of one round, over every rule: a plan key
-    /// and the driver rows of each `(rule, position)` whose atom has a
-    /// nonempty EDB or IDB delta.
-    fn delta_jobs<'d>(
-        &self,
-        edb_delta: &'d [Vec<u32>],
-        idb_delta: &'d [Vec<u32>],
-    ) -> Vec<(PlanKey, &'d [u32])> {
-        let rules = self.program.rules();
-        join::delta_jobs(rules, 0..rules.len(), |p| match p {
-            Pred::Edb(r) => edb_delta[r.0].as_slice(),
-            Pred::Idb(j) => idb_delta[j].as_slice(),
-        })
-        .into_iter()
-        .map(|(rule, pos, rows)| (PlanKey::Driver { rule, pos }, rows))
-        .collect()
-    }
-
-    /// Runs one round of jobs, each a plan key and its driver rows,
-    /// through the shared runner; returns the new and revived rows per
-    /// IDB.
-    fn run_round(
-        &mut self,
-        round: usize,
-        keys: &[(PlanKey, &[u32])],
-        budget: &Budget,
-    ) -> BudgetResult<Vec<Vec<u32>>> {
-        let pis: Vec<usize> = keys.iter().map(|&(key, _)| self.plan_for(key)).collect();
-        let jobs: Vec<Job> = keys
-            .iter()
-            .zip(&pis)
-            .map(|(&(key, driver), &pi)| {
-                let (rule, pos) = key.rule_pos();
-                Job {
-                    rule,
-                    pos,
-                    plan: &self.plans[pi],
-                    driver,
-                }
+        let all: Vec<usize> = (0..self.program.rules().len()).collect();
+        self.fx
+            .saturate(&all, &edb_delta, idb_delta, budget, &mut |new, _| {
+                stats.rounds += 1;
+                OBS_ROUNDS.incr();
+                stats.derived += new;
+                OBS_DERIVED.add(new);
             })
-            .collect();
-        let runner = Runner {
-            rules: self.program.rules(),
-            domain: self.domain,
-            threads: self.threads,
-            site: AT,
-        };
-        let edb = Edb::Columnar(&self.edb);
-        Ok(runner.run(round, edb, &jobs, &mut self.idb, budget)?.0)
-    }
-
-    /// A kernel context for rule `ri` under cached plan `pi`, with
-    /// `driver` as the `ScanDelta` rows.
-    fn ctx<'a>(&'a self, ri: usize, pi: usize, driver: &'a [u32]) -> ExecCtx<'a> {
-        let rule = &self.program.rules()[ri];
-        let edb = Edb::Columnar(&self.edb);
-        ExecCtx::new(
-            rule,
-            &self.plans[pi],
-            edb,
-            &self.idb,
-            driver,
-            self.domain,
-            AT,
-        )
-    }
-
-    /// Plan-cache lookup, planning (and building the indexes the plan
-    /// probes) on first sight — the incremental counterpart of the
-    /// batch engine's per-(rule, pos) cache, extended with init and
-    /// goal shapes.
-    fn plan_for(&mut self, key: PlanKey) -> usize {
-        if let Some(&pi) = self.plan_of.get(&key) {
-            self.ensure_indexes(pi, key);
-            return pi;
-        }
-        let (ri, driver) = key.rule_pos();
-        let rule = &self.program.rules()[ri];
-        let mut pre_bound = vec![false; rule_num_vars(rule)];
-        if matches!(key, PlanKey::Goal { .. }) {
-            for &v in &rule.head.args {
-                pre_bound[v as usize] = true;
-            }
-        }
-        let edb = &self.edb;
-        let idb = &self.idb;
-        let extent_len = |atom: &Atom| -> usize {
-            match atom.pred {
-                Pred::Edb(r) => edb[r.0].store.len(),
-                Pred::Idb(j) => idb[j].store.len(),
-            }
-        };
-        let plan = join::plan(rule, driver, &pre_bound, &extent_len);
-        self.plans.push(plan);
-        let pi = self.plans.len() - 1;
-        self.plan_of.insert(key, pi);
-        self.ensure_indexes(pi, key);
-        pi
-    }
-
-    /// Builds (or catches up) every index a plan probes. Cheap when
-    /// current: `ColumnIndex::extend` is a no-op past `built_upto`.
-    fn ensure_indexes(&mut self, pi: usize, key: PlanKey) {
-        let (ri, _) = key.rule_pos();
-        for si in 0..self.plans[pi].len() {
-            let Access::Probe(ref k) = self.plans[pi][si].access else {
-                continue;
-            };
-            let k = k.clone();
-            let atom_i = self.plans[pi][si].atom;
-            let rel = match self.program.rules()[ri].body[atom_i].pred {
-                Pred::Edb(r) => &mut self.edb[r.0],
-                Pred::Idb(j) => &mut self.idb[j],
-            };
-            rel.ensure_index(&k);
-            rel.extend_indexes();
-        }
     }
 }
 

@@ -1,28 +1,30 @@
-//! The join planner, the join kernel and the semi-naive round runner
-//! shared by every indexed Datalog evaluator (see
+//! The join planner, the join kernel, the semi-naive round runner and
+//! the fixpoint driver shared by every indexed Datalog evaluator (see
 //! `docs/join-engine.md`):
 //!
-//! * batch evaluation ([`crate::datalog`]) plans each rule application
-//!   with [`plan`] and runs its rounds with [`Runner::run`] over the
-//!   input structure's sorted relations;
-//! * the incremental runtime ([`crate::incremental`]) plans its delta,
-//!   rebuild and remaining-support joins with [`plan`], runs its
-//!   rebuild and propagation rounds with [`Runner::run`] and its DRed
-//!   passes with [`exec`], over its columnar, tombstoned EDB stores;
+//! * batch evaluation ([`crate::datalog`]) runs each stratum, and each
+//!   naive round, through a [`Fixpoint`] over the input structure's
+//!   sorted relations ([`SortedEdb`]);
+//! * the incremental runtime ([`crate::incremental`]) runs its rebuild
+//!   (the same stratum pass) and its propagation through a [`Fixpoint`]
+//!   over its columnar, tombstoned EDB stores, and its DRed passes
+//!   through [`Fixpoint::exec_with`] on the same plan cache;
 //! * the magic-sets rewrite ([`crate::magic`]) takes its static SIP
 //!   order from [`plan`] with no extents.
 //!
 //! The only representation difference between the callers is the EDB
-//! ([`Edb`]); IDB extents are columnar [`IdbStore`]s everywhere.
+//! ([`EdbSource`]); IDB extents are columnar [`IdbStore`]s everywhere.
 
-use crate::datalog::{rule_num_vars, Atom, IdbStore, Pred, Rule};
+use crate::datalog::{rule_num_vars, Atom, IdbStore, Pred, Program, Rule};
 use fmt_structures::budget::{Budget, BudgetResult};
 use fmt_structures::index::{self, TupleIndex};
 use fmt_structures::par::fan_out;
-use fmt_structures::store;
-use fmt_structures::{Elem, Relation};
+use fmt_structures::store::{self, TupleStore};
+use fmt_structures::{Elem, RelId, Relation, Structure};
 use std::borrow::Cow;
 use std::cell::Cell;
+use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Rule×delta applications run by [`Runner::run`], batch and runtime.
 static OBS_PAR_JOBS: fmt_obs::Counter = fmt_obs::Counter::new("queries.datalog.parallel_jobs");
@@ -49,12 +51,12 @@ pub(crate) enum Access {
     Probe(Vec<usize>),
     /// A [`Access::Probe`] on the bound prefix `0..k` of a sorted EDB
     /// relation: binary prefix probe, no index build. Never produced by
-    /// [`plan`]; the batch engine rewrites its probes to this where it
-    /// builds the plan's indexes.
+    /// [`plan`]; [`SortedEdb`] rewrites probes to this when a plan is
+    /// made.
     ProbePrefix(usize),
     /// Any other [`Access::Probe`] of a sorted EDB relation: a probe of
     /// the hash index in the given slot of the evaluation's EDB index
-    /// table ([`Edb::Sorted`]). Rewritten by the batch engine like
+    /// table ([`Edb::Sorted`]). Rewritten by [`SortedEdb`] like
     /// [`Access::ProbePrefix`].
     ProbeIndex(usize),
     /// Anti-join check for a negated atom: every argument is bound, so
@@ -171,13 +173,25 @@ pub(crate) fn plan(
 
 /// Where the kernel reads EDB atoms from — the one representation
 /// difference between its callers, consulted only by the EDB arms of
-/// [`exec`].
+/// [`exec`]. Both arms stay, each for what only it does:
+///
+/// * batch evaluation reads the immutable input, whose relations are
+///   sorted flat rows: a probe on a bound prefix is two binary searches
+///   and builds no index, and every other probe's index is cached on
+///   the relation for every later evaluation of that input;
+/// * the runtime needs mutable, tombstoned stores whose row ids are its
+///   deltas, which sorted rows cannot give.
+///
+/// Loading the batch input as columnar stores instead was measured on
+/// `point_query`'s input (200 × 256-node paths, 51,000 edges): the copy
+/// added 1,948 KiB of resident memory and its first-column index
+/// another 3,004 KiB, about +50% of that workload's 9.6 MiB peak.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Edb<'a> {
     /// Batch evaluation: the input structure's sorted relations
     /// (indexed by `RelId.0`), plus the hash indexes of the plans'
     /// [`Access::ProbeIndex`] slots.
-    Sorted(&'a [&'a Relation], &'a [&'a TupleIndex]),
+    Sorted(&'a [&'a Relation], &'a [Arc<TupleIndex>]),
     /// The incremental runtime: one columnar, tombstoned extent per
     /// relation (indexed by `RelId.0`), probed through its
     /// `ColumnIndex`es exactly like an IDB.
@@ -187,13 +201,13 @@ pub(crate) enum Edb<'a> {
 /// The extent one body atom reads, resolved through [`Edb`].
 enum Extent<'a> {
     Columnar(&'a IdbStore),
-    Sorted(&'a Relation, &'a [&'a TupleIndex]),
+    Sorted(&'a Relation, &'a [Arc<TupleIndex>]),
 }
 
 /// Everything the join kernel needs for one rule application. Each
 /// worker builds its own; the plan and extents it borrows are shared
 /// immutably across threads.
-pub(crate) struct ExecCtx<'a> {
+struct ExecCtx<'a> {
     rule: &'a Rule,
     plan: &'a [Step],
     edb: Edb<'a>,
@@ -203,24 +217,24 @@ pub(crate) struct ExecCtx<'a> {
     driver: &'a [u32],
     /// Unbound head variables range over `0..domain`.
     domain: u32,
-    pub(crate) head_idb: usize,
+    head_idb: usize,
     /// Budget tick site label of the calling engine.
     site: &'static str,
     /// Candidate tuples the kernel tried to bind during this rule
     /// application — the per-rule probe count reported on trace spans
     /// and by `fmtk datalog --explain`. A `Cell` because the kernel
     /// threads `&ExecCtx` immutably; each context lives on one thread.
-    pub(crate) probes: Cell<u64>,
+    probes: Cell<u64>,
     /// Heap allocations the kernel's stack buffers spilled into (keys,
     /// prefixes, or head tuples wider than [`VAL_STACK`]); zero on the
     /// steady-state join loop, surfaced per rule for `--explain`.
-    pub(crate) probe_allocs: Cell<u64>,
+    probe_allocs: Cell<u64>,
 }
 
 impl<'a> ExecCtx<'a> {
     /// A context emitting into the rule's head IDB, ticking `budget`
     /// under the calling engine's `site` label.
-    pub(crate) fn new(
+    fn new(
         rule: &'a Rule,
         plan: &'a [Step],
         edb: Edb<'a>,
@@ -244,7 +258,7 @@ impl<'a> ExecCtx<'a> {
     }
 
     /// Runs the whole plan from an empty binding; see [`exec`].
-    pub(crate) fn run(
+    fn run(
         &self,
         budget: &Budget,
         emit: &mut dyn FnMut(usize, &[Elem]) -> bool,
@@ -403,7 +417,7 @@ fn try_candidate(
 /// heap. `emit` returns `false` to stop the whole join (the runtime's
 /// remaining-support check wants one witness), which the kernel
 /// forwards as `Ok(false)`.
-pub(crate) fn exec(
+fn exec(
     ctx: &ExecCtx<'_>,
     step_i: usize,
     binding: &mut [Option<Elem>],
@@ -484,7 +498,7 @@ pub(crate) fn exec(
             }
         }
         (Access::ProbeIndex(slot), Extent::Sorted(_, indexes)) => {
-            let idx = indexes[*slot];
+            let idx = &indexes[*slot];
             let key = idx.key();
             let kv = fill_slice(
                 ctx,
@@ -515,11 +529,11 @@ pub(crate) fn exec(
 /// One rule application of a semi-naive round: rule `rule` of the
 /// [`Runner`]'s rules under `plan`, with body atom `pos` iterating the
 /// `driver` rows (`pos: None`: a driverless pass over full extents).
-pub(crate) struct Job<'a> {
-    pub(crate) rule: usize,
-    pub(crate) pos: Option<usize>,
-    pub(crate) plan: &'a [Step],
-    pub(crate) driver: &'a [u32],
+struct Job<'a> {
+    rule: usize,
+    pos: Option<usize>,
+    plan: &'a [Step],
+    driver: &'a [u32],
 }
 
 /// Every `(rule, body position, driver rows)` among `rules_in` whose
@@ -551,10 +565,11 @@ struct Staged {
     derivations: u64,
 }
 
-/// The round runner of one evaluation or poll: the rules, domain,
-/// worker count and budget site all of its rounds share.
-pub(crate) struct Runner<'a> {
-    pub(crate) rules: &'a [Rule],
+/// The round runner of one [`Fixpoint`]: the rules, domain, worker
+/// count and budget site all of its rounds share.
+#[derive(Debug)]
+pub(crate) struct Runner {
+    pub(crate) rules: Arc<[Rule]>,
     /// Unbound head variables range over `0..domain`.
     pub(crate) domain: u32,
     pub(crate) threads: usize,
@@ -562,7 +577,7 @@ pub(crate) struct Runner<'a> {
     pub(crate) site: &'static str,
 }
 
-impl Runner<'_> {
+impl Runner {
     /// Runs `jobs` and merges what they derive into `idb`; returns the
     /// rows each IDB gained (appended or revived, in merge order) and
     /// the number of derivations. Every job reads the extents as they
@@ -574,7 +589,7 @@ impl Runner<'_> {
     /// its one hash), and the stores take them in item order, so the
     /// result is the same at any thread count. `round` labels the
     /// `datalog.rule` spans.
-    pub(crate) fn run(
+    fn run(
         &self,
         round: usize,
         edb: Edb<'_>,
@@ -691,6 +706,316 @@ impl Runner<'_> {
             span.record_field("arena_bytes", bytes as u64);
         }
         Ok(staged)
+    }
+}
+
+/// Key of the [`Fixpoint`] plan cache. Driverless passes are not
+/// cached: they plan afresh on the extents they start from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) enum PlanKey {
+    /// Delta-driven: body position `pos` iterates the delta rows.
+    Driver { rule: usize, pos: usize },
+    /// No driver, head variables pre-bound: the runtime's DRed
+    /// remaining-support check.
+    Goal { rule: usize },
+}
+
+/// One EDB representation a [`Fixpoint`] evaluates over (see [`Edb`]
+/// for why there are two).
+pub(crate) trait EdbSource {
+    /// The extent size [`plan`] breaks ties by.
+    fn extent_len(&self, r: RelId) -> usize;
+    /// How the kernel serves a planned [`Access::Probe`] of `r` on
+    /// `key`, with whatever index that needs prepared.
+    fn prepare(&mut self, r: RelId, key: &[usize]) -> Access;
+    /// The EDB as the kernel reads it.
+    fn view(&self) -> Edb<'_>;
+}
+
+/// Batch evaluation's EDB: the input's sorted relations, and handles to
+/// the hash indexes its plans probe. Each relation builds an index once
+/// and caches it ([`Relation::index`]), so goal after goal on one input
+/// builds none again; plans address an index by its slot here.
+#[derive(Debug)]
+pub(crate) struct SortedEdb<'s> {
+    /// `s.rel(r)` for every relation, indexed by `RelId.0`.
+    rels: Vec<&'s Relation>,
+    slots: Vec<Arc<TupleIndex>>,
+}
+
+impl<'s> SortedEdb<'s> {
+    pub(crate) fn new(s: &'s Structure) -> SortedEdb<'s> {
+        SortedEdb {
+            rels: (0..s.signature().num_relations())
+                .map(|r| s.rel(RelId(r)))
+                .collect(),
+            slots: Vec::new(),
+        }
+    }
+}
+
+impl EdbSource for SortedEdb<'_> {
+    fn extent_len(&self, r: RelId) -> usize {
+        self.rels[r.0].len()
+    }
+
+    /// A bound prefix `0..k` needs no index — the rows are sorted — so
+    /// it becomes [`Access::ProbePrefix`]; any other key becomes an
+    /// [`Access::ProbeIndex`] into the slot table.
+    fn prepare(&mut self, r: RelId, key: &[usize]) -> Access {
+        if key.iter().enumerate().all(|(i, &p)| i == p) {
+            return Access::ProbePrefix(key.len());
+        }
+        let idx = self.rels[r.0].index(key);
+        let slot = self.slots.iter().position(|s| Arc::ptr_eq(s, &idx));
+        Access::ProbeIndex(slot.unwrap_or_else(|| {
+            self.slots.push(idx);
+            self.slots.len() - 1
+        }))
+    }
+
+    fn view(&self) -> Edb<'_> {
+        Edb::Sorted(&self.rels, &self.slots)
+    }
+}
+
+/// The runtime's EDB: one columnar store per relation, probed through
+/// its `ColumnIndex`es like an IDB.
+impl EdbSource for Vec<IdbStore> {
+    fn extent_len(&self, r: RelId) -> usize {
+        self[r.0].store.len()
+    }
+
+    fn prepare(&mut self, r: RelId, key: &[usize]) -> Access {
+        self[r.0].ensure_index(key);
+        Access::Probe(key.to_vec())
+    }
+
+    fn view(&self) -> Edb<'_> {
+        Edb::Columnar(self)
+    }
+}
+
+/// The fixpoint driver of one batch evaluation or one incremental
+/// runtime: the EDB, the IDB stores, and one plan cache. A cached plan
+/// is made on first sight, and every index it probes is prepared then;
+/// after that, every path that adds rows catches the indexes up (the
+/// round merge, and the runtime's EDB insertions).
+#[derive(Debug)]
+pub(crate) struct Fixpoint<E> {
+    pub(crate) runner: Runner,
+    pub(crate) edb: E,
+    pub(crate) idb: Vec<IdbStore>,
+    plans: Vec<Vec<Step>>,
+    plan_of: HashMap<PlanKey, usize>,
+    /// Rounds run so far; labels the `datalog.rule` spans.
+    round: usize,
+}
+
+impl<E: EdbSource> Fixpoint<E> {
+    /// A driver for `program` over `edb` with empty IDB stores; unbound
+    /// head variables range over `0..domain`.
+    pub(crate) fn new(
+        program: &Program,
+        edb: E,
+        domain: u32,
+        threads: usize,
+        site: &'static str,
+    ) -> Fixpoint<E> {
+        Fixpoint {
+            runner: Runner {
+                rules: Arc::clone(&program.rules),
+                domain,
+                threads,
+                site,
+            },
+            edb,
+            idb: program.new_store(),
+            plans: Vec::new(),
+            plan_of: HashMap::new(),
+            round: 0,
+        }
+    }
+
+    /// Empties the IDB stores, dropping the cached plans with them
+    /// (their indexes lived in the old stores).
+    pub(crate) fn restart(&mut self) {
+        for r in &mut self.idb {
+            *r = IdbStore::new(r.store.arity());
+        }
+        self.plans.clear();
+        self.plan_of.clear();
+        self.round = 0;
+    }
+
+    /// The cached plan of `key`, made on first sight.
+    fn plan(&mut self, key: PlanKey) -> usize {
+        if let Some(&pi) = self.plan_of.get(&key) {
+            return pi;
+        }
+        let plan = match key {
+            PlanKey::Driver { rule, pos } => self.make_plan(rule, Some(pos), false),
+            PlanKey::Goal { rule } => self.make_plan(rule, None, true),
+        };
+        self.plans.push(plan);
+        self.plan_of.insert(key, self.plans.len() - 1);
+        self.plans.len() - 1
+    }
+
+    /// A plan of rule `ri` on the current extents (its head pre-bound
+    /// for a `goal`), with every index it probes prepared.
+    fn make_plan(&mut self, ri: usize, driver: Option<usize>, goal: bool) -> Vec<Step> {
+        let rule = &self.runner.rules[ri];
+        let pre_bound: Vec<bool> = (0..rule_num_vars(rule) as u32)
+            .map(|v| goal && rule.head.args.contains(&v))
+            .collect();
+        let (edb, idb) = (&self.edb, &self.idb);
+        let mut steps = plan(rule, driver, &pre_bound, &|a| match a.pred {
+            Pred::Edb(r) => edb.extent_len(r),
+            Pred::Idb(j) => idb[j].store.len(),
+        });
+        for step in &mut steps {
+            let Access::Probe(key) = &step.access else {
+                continue;
+            };
+            match rule.body[step.atom].pred {
+                Pred::Edb(r) => step.access = self.edb.prepare(r, key),
+                Pred::Idb(j) => self.idb[j].ensure_index(key),
+            }
+        }
+        steps
+    }
+
+    /// One driverless round over the full extents: every rule of
+    /// `rules_in`, planned afresh — a stratum's initialization pass,
+    /// and each naive round. Returns the rows each IDB gained and the
+    /// number of derivations.
+    pub(crate) fn pass(
+        &mut self,
+        rules_in: &[usize],
+        budget: &Budget,
+    ) -> BudgetResult<(Vec<Vec<u32>>, u64)> {
+        self.round += 1;
+        let plans: Vec<Vec<Step>> = rules_in
+            .iter()
+            .map(|&ri| self.make_plan(ri, None, false))
+            .collect();
+        let jobs: Vec<Job> = rules_in
+            .iter()
+            .zip(&plans)
+            .map(|(&rule, plan)| Job {
+                rule,
+                pos: None,
+                plan,
+                driver: &[],
+            })
+            .collect();
+        let edb = self.edb.view();
+        self.runner
+            .run(self.round, edb, &jobs, &mut self.idb, budget)
+    }
+
+    /// One stratum to its fixpoint: the initialization pass, then
+    /// semi-naive rounds from the rows it derived. `on_round` sees the
+    /// new facts and derivations of the pass and of every round.
+    pub(crate) fn stratum(
+        &mut self,
+        rules_in: &[usize],
+        budget: &Budget,
+        on_round: &mut dyn FnMut(u64, u64),
+    ) -> BudgetResult<()> {
+        let init_span = fmt_obs::trace_span!("datalog.init");
+        let (delta, derived) = self.pass(rules_in, budget)?;
+        drop(init_span);
+        on_round(delta.iter().map(Vec::len).sum::<usize>() as u64, derived);
+        self.saturate(rules_in, &[], delta, budget, on_round)
+    }
+
+    /// Semi-naive rounds over `rules_in` until no delta is left, from
+    /// the given EDB and IDB deltas (the EDB deltas drive the first
+    /// round only). Each round runs one job per (rule, positive body
+    /// position) whose predicate has a delta; the rows it adds are the
+    /// next round's delta. `on_round` sees each round's new facts and
+    /// derivations.
+    pub(crate) fn saturate(
+        &mut self,
+        rules_in: &[usize],
+        mut edb_delta: &[Vec<u32>],
+        mut idb_delta: Vec<Vec<u32>>,
+        budget: &Budget,
+        on_round: &mut dyn FnMut(u64, u64),
+    ) -> BudgetResult<()> {
+        loop {
+            let total: usize = edb_delta.iter().chain(&idb_delta).map(Vec::len).sum();
+            if total == 0 {
+                return Ok(());
+            }
+            self.round += 1;
+            let mut round_span =
+                fmt_obs::trace_span!("datalog.round", round = self.round, delta = total);
+            let plan_span = fmt_obs::trace_span!("datalog.plan");
+            let keys = delta_jobs(&self.runner.rules, rules_in.iter().copied(), |p| match p {
+                Pred::Edb(r) => edb_delta.get(r.0).map_or(&[][..], Vec::as_slice),
+                Pred::Idb(j) => idb_delta[j].as_slice(),
+            });
+            let pis: Vec<usize> = keys
+                .iter()
+                .map(|&(rule, pos, _)| self.plan(PlanKey::Driver { rule, pos }))
+                .collect();
+            let jobs: Vec<Job> = keys
+                .iter()
+                .zip(&pis)
+                .map(|(&(rule, pos, driver), &pi)| Job {
+                    rule,
+                    pos: Some(pos),
+                    plan: &self.plans[pi],
+                    driver,
+                })
+                .collect();
+            drop(plan_span);
+            let edb = self.edb.view();
+            let (new, derived) = self
+                .runner
+                .run(self.round, edb, &jobs, &mut self.idb, budget)?;
+            let added = new.iter().map(Vec::len).sum::<usize>() as u64;
+            round_span.record_field("new", added);
+            on_round(added, derived);
+            edb_delta = &[];
+            idb_delta = new;
+        }
+    }
+
+    /// Runs `key`'s rule application with its head bound to `head`
+    /// (empty for a [`PlanKey::Driver`]) and `driver` as the delta
+    /// rows, sending each emission to `emit` with the head's store
+    /// instead of merging it. Returns `Ok(false)` as soon as `emit`
+    /// does, and `Ok(true)` at once when the rule's head cannot take
+    /// the values `head`.
+    pub(crate) fn exec_with(
+        &mut self,
+        key: PlanKey,
+        driver: &[u32],
+        head: &[Elem],
+        budget: &Budget,
+        emit: &mut dyn FnMut(&TupleStore, &[Elem]) -> bool,
+    ) -> BudgetResult<bool> {
+        let pi = self.plan(key);
+        let (PlanKey::Driver { rule, .. } | PlanKey::Goal { rule }) = key;
+        let rule = &self.runner.rules[rule];
+        let mut binding = vec![None; rule_num_vars(rule)];
+        for (&v, &e) in rule.head.args.iter().zip(head) {
+            match binding[v as usize] {
+                Some(b) if b != e => return Ok(true),
+                _ => binding[v as usize] = Some(e),
+            }
+        }
+        let (domain, site) = (self.runner.domain, self.runner.site);
+        let edb = self.edb.view();
+        let ctx = ExecCtx::new(rule, &self.plans[pi], edb, &self.idb, driver, domain, site);
+        let head_store = &self.idb[ctx.head_idb].store;
+        exec(&ctx, 0, &mut binding, budget, &mut |_, t| {
+            emit(head_store, t)
+        })
     }
 }
 

@@ -7,12 +7,18 @@
 //! caller's merge is deterministic regardless of which worker finished
 //! first. This module is that pattern, once.
 
+/// The most workers any `threads` setting resolves to. A worker is a
+/// scoped thread with its own shard buffers, so an unbounded request
+/// (`--threads 100000`) would spawn until the process fails.
+pub const MAX_THREADS: usize = 256;
+
 /// The worker count a `threads` setting asks for: `0` means automatic,
-/// `min(available_parallelism, 8)`; any other value is taken as given.
-/// Every parallel engine and the `--threads` flag resolve through here.
+/// `min(available_parallelism, 8)`; any other value is taken as given,
+/// up to [`MAX_THREADS`]. Every parallel engine and the `--threads`
+/// flag resolve through here.
 pub fn resolve_threads(threads: usize) -> usize {
     if threads != 0 {
-        return threads;
+        return threads.min(MAX_THREADS);
     }
     std::thread::available_parallelism()
         .map(std::num::NonZero::get)
@@ -97,6 +103,13 @@ mod tests {
         let auto = resolve_threads(0);
         assert!((1..=8).contains(&auto), "{auto}");
         assert_eq!(resolve_threads(3), 3);
+    }
+
+    #[test]
+    fn huge_thread_counts_clamp_to_the_maximum() {
+        assert_eq!(resolve_threads(MAX_THREADS), MAX_THREADS);
+        assert_eq!(resolve_threads(MAX_THREADS + 1), MAX_THREADS);
+        assert_eq!(resolve_threads(usize::MAX), MAX_THREADS);
     }
 
     #[test]

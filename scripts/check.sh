@@ -16,6 +16,9 @@ cargo build --release
 echo "==> tier-1: cargo test -q"
 cargo test -q
 
+echo "==> fmtbench: its own workspace, so tier-1 never builds or tests it"
+cargo test --release --offline --manifest-path fmtbench/Cargo.toml
+
 echo "==> lint gate: corpus and clean fixtures must pass --deny warnings"
 cargo build --release -q -p fmt-cli
 FMTK="target/release/fmtk"
@@ -72,24 +75,19 @@ done
 
 echo "==> conformance smoke hunt (fixed seed, fails on any oracle disagreement)"
 mkdir -p target/conform-corpus
-cargo run --release -q -p fmt-cli --bin fmtk -- \
-    conform --seed 7 --cases 240 --corpus target/conform-corpus
+"$FMTK" conform --seed 7 --cases 240 --corpus target/conform-corpus
 
 echo "==> budget fault-injection smoke sweep (fixed seed, 240 cases)"
-cargo run --release -q -p fmt-cli --bin fmtk -- \
-    conform --oracle budget-fault --seed 11 --cases 240
+"$FMTK" conform --oracle budget-fault --seed 11 --cases 240
 
 echo "==> incremental trace-equivalence sweep (fixed seed, 240 cases)"
-cargo run --release -q -p fmt-cli --bin fmtk -- \
-    conform --oracle incremental --seed 13 --cases 240
+"$FMTK" conform --oracle incremental --seed 13 --cases 240
 
 echo "==> stratified negation sweep (fixed seed, 240 cases)"
-cargo run --release -q -p fmt-cli --bin fmtk -- \
-    conform --oracle stratified --seed 17 --cases 240
+"$FMTK" conform --oracle stratified --seed 17 --cases 240
 
 echo "==> magic-sets goal-directed sweep (fixed seed, 240 cases)"
-cargo run --release -q -p fmt-cli --bin fmtk -- \
-    conform --oracle magic --seed 19 --cases 240
+"$FMTK" conform --oracle magic --seed 19 --cases 240
 
 echo "==> datalog gates (scan-comparison ratio, throughput, overhead, incremental, magic pruning, trace attribution)"
 cargo build --release -q -p fmt-bench --bin datalog_bench

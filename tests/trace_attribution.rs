@@ -152,6 +152,39 @@ fn small_rounds_run_on_the_calling_lane() {
     }
 }
 
+/// The `(delta, new)` fields of every `datalog.round` span in `t`, in
+/// the order the rounds ran.
+fn round_deltas(t: &trace::Trace) -> Vec<(u64, u64)> {
+    t.events
+        .iter()
+        .filter(|e| e.name == "datalog.round")
+        .map(|e| (field(e, "delta").unwrap(), field(e, "new").unwrap()))
+        .collect()
+}
+
+/// A runtime's first poll rebuilds through the batch engine's stratum
+/// pass, so it runs the batch rounds span for span: the same
+/// `datalog.round` spans, each driving the same delta to the same new
+/// facts.
+#[test]
+fn rebuild_polls_run_the_batch_rounds_span_for_span() {
+    let _g = locked();
+    for (prog, s) in [
+        (Program::same_generation(), builders::full_binary_tree(4)),
+        (Program::transitive_closure(), builders::grid(4, 5)),
+    ] {
+        trace::start();
+        prog.eval_seminaive(&s);
+        let batch = round_deltas(&trace::stop());
+        let mut rt = DatalogRuntime::from_structure(prog, &s).expect("negation-free");
+        trace::start();
+        rt.poll();
+        let rebuild = round_deltas(&trace::stop());
+        assert!(batch.len() > 2, "{batch:?}");
+        assert_eq!(batch, rebuild);
+    }
+}
+
 /// Budget exhaustion is journaled as a `budget.exhausted` instant with
 /// the resource and tick site as fields.
 #[test]
