@@ -1257,7 +1257,7 @@ fn emit_head_scan(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::join::{self, Access, EdbSource};
+    use crate::join::{self, Access};
     use fmt_structures::builders;
 
     /// Batch evaluation's extent sizes before any IDB row is derived.
@@ -1658,23 +1658,17 @@ mod tests {
     #[test]
     fn planner_orders_most_bound_first() {
         // sg rule with the delta at position 2: the driver binds xp and
-        // yp, so both edge atoms become indexable probes — on a bound
-        // prefix of the sorted edge relation, which batch evaluation
-        // turns into prefix probes.
+        // yp, so both edge atoms become indexable probes on their bound
+        // parent. (`join`'s tests check that the driver's plan cache
+        // turns them into prefix probes of the sorted edge relation.)
         let prog = Program::same_generation();
         let s = builders::full_binary_tree(3);
-        let mut edb = join::SortedEdb::new(&s);
         let rule = &prog.rules()[1];
         let plan = join::plan(rule, Some(2), &[], &initial_extent(&s));
         assert_eq!(plan[0].atom, 2);
         assert_eq!(plan[0].access, Access::ScanDelta);
         for step in &plan[1..] {
             assert_eq!(step.access, Access::Probe(vec![0]));
-            assert_eq!(
-                edb.prepare(RelId(0), &[0]),
-                Access::ProbePrefix(1),
-                "edge atoms probe on their bound parent"
-            );
         }
         // Without a driver nothing is bound at first: the smallest
         // extent leads (the empty IDB extent beats the edge relation).

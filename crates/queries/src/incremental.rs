@@ -369,17 +369,17 @@ impl DatalogRuntime {
         }
         self.fx.restart();
         let all: Vec<usize> = (0..self.program.rules().len()).collect();
-        // The initialization pass counts as a derivation round but not
-        // as a propagation round.
-        let mut passes = 0;
+        // The initialization pass counts its facts, but it is not a
+        // propagation round.
+        let mut init = true;
         self.fx.stratum(&all, budget, &mut |new, _| {
-            passes += 1;
+            if !std::mem::take(&mut init) {
+                stats.rounds += 1;
+                OBS_ROUNDS.incr();
+            }
             stats.derived += new;
-        })?;
-        stats.rounds += passes - 1;
-        OBS_ROUNDS.add(passes - 1);
-        OBS_DERIVED.add(stats.derived);
-        Ok(())
+            OBS_DERIVED.add(new);
+        })
     }
 
     /// Incremental path: DRed retraction (overdelete, tombstone,

@@ -1023,7 +1023,7 @@ impl<E: EdbSource> Fixpoint<E> {
 mod tests {
     use super::*;
     use crate::datalog::Program;
-    use fmt_structures::Signature;
+    use fmt_structures::{builders, Signature};
 
     /// The `fresh` invariants the kernel's rollback relies on: the lists
     /// are pairwise disjoint and disjoint from the pre-binding, together
@@ -1106,5 +1106,43 @@ mod tests {
             .map(|s| s.atom)
             .collect();
         assert_eq!(order, vec![1, 0, 2, 3]);
+    }
+
+    #[test]
+    fn fixpoint_plans_prepare_each_probe_on_its_own_relation() {
+        // sg with the delta at position 2: the driver binds xp and yp,
+        // so each edge atom probes the bound prefix of the sorted edge
+        // relation, which needs no index.
+        let prog = Program::same_generation();
+        let s = builders::full_binary_tree(3);
+        let mut fx = Fixpoint::new(&prog, SortedEdb::new(&s), s.size(), 1, "test");
+        let pi = fx.plan(PlanKey::Driver { rule: 1, pos: 2 });
+        assert_eq!(fx.plans[pi][0].access, Access::ScanDelta);
+        for step in &fx.plans[pi][1..] {
+            assert_eq!(step.access, Access::ProbePrefix(1), "{:?}", fx.plans[pi]);
+        }
+        // tc with the delta at position 1 binds y, the second column of
+        // e(x, y): a non-prefix key, so the plan probes a slot holding
+        // the edge relation's own index on that column.
+        let prog = Program::transitive_closure();
+        let mut fx = Fixpoint::new(&prog, SortedEdb::new(&s), s.size(), 1, "test");
+        let pi = fx.plan(PlanKey::Driver { rule: 1, pos: 1 });
+        let Access::ProbeIndex(slot) = fx.plans[pi][1].access else {
+            panic!("edge atom not an index probe: {:?}", fx.plans[pi]);
+        };
+        assert!(Arc::ptr_eq(
+            &fx.edb.slots[slot],
+            &s.rel(RelId(0)).index(&[1])
+        ));
+        // A goal plan binds the head first, so the IDB atom is a probe,
+        // and its index exists as soon as the plan is made.
+        let prog = Program::same_generation();
+        let mut fx = Fixpoint::new(&prog, SortedEdb::new(&s), s.size(), 1, "test");
+        let pi = fx.plan(PlanKey::Goal { rule: 1 });
+        let step = fx.plans[pi].iter().find(|st| st.atom == 2).unwrap();
+        let Access::Probe(key) = &step.access else {
+            panic!("sg atom not a probe: {:?}", fx.plans[pi]);
+        };
+        assert!(fx.idb[0].indexes.iter().any(|(k, _)| k == key));
     }
 }
