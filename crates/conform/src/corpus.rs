@@ -81,10 +81,15 @@ impl ReproCase {
             .map(|(_, v)| v.as_str())
     }
 
+    /// Looks up a parameter the case cannot do without.
+    pub fn param_str(&self, name: &str) -> Result<&str, String> {
+        self.param(name)
+            .ok_or_else(|| format!("case is missing parameter {name:?}"))
+    }
+
     /// Looks up and parses a numeric parameter.
     pub fn param_u64(&self, name: &str) -> Result<u64, String> {
-        self.param(name)
-            .ok_or_else(|| format!("case is missing parameter {name:?}"))?
+        self.param_str(name)?
             .parse()
             .map_err(|_| format!("parameter {name:?} is not a number"))
     }

@@ -29,6 +29,6 @@ pub mod runner;
 pub mod shrink;
 
 pub use corpus::ReproCase;
-pub use oracle::Oracle;
+pub use oracle::{Oracle, Shape};
 pub use runner::{run, RunConfig, RunError, RunReport};
-pub use shrink::{minimize, Shrinkable};
+pub use shrink::{minimize, Fixed, Fuel, Shrinkable};

@@ -201,6 +201,32 @@ impl Shrinkable for u32 {
     }
 }
 
+/// A fuel allowance: shrinks like a number, but never to 0, since
+/// replay reads a recorded fuel as at least 1 and a case shrunk to 0
+/// would replay under a different budget than it failed under.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Fuel(pub u64);
+
+impl Shrinkable for Fuel {
+    fn shrink_candidates(&self) -> Vec<Fuel> {
+        (self.0.shrink_candidates().into_iter())
+            .filter(|&f| f >= 1)
+            .map(Fuel)
+            .collect()
+    }
+}
+
+/// A case component carried through minimization unchanged, such as a
+/// program's text or a goal.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Fixed<T>(pub T);
+
+impl<T: Clone> Shrinkable for Fixed<T> {
+    fn shrink_candidates(&self) -> Vec<Fixed<T>> {
+        Vec::new()
+    }
+}
+
 /// Parameter tuples shrink one coordinate at a time.
 impl<A: Shrinkable, B: Shrinkable> Shrinkable for (A, B) {
     fn shrink_candidates(&self) -> Vec<(A, B)> {
@@ -303,6 +329,15 @@ mod tests {
         );
         assert_eq!(min.ops, vec![UpdateOp::Retract(1, 2)]);
         assert_eq!(min.domain, 4);
+    }
+
+    #[test]
+    fn fuel_shrinks_to_one_and_fixed_parts_stay() {
+        let always = &mut |_: &(Fuel, Fixed<&str>)| true;
+        let ((fuel, Fixed(text)), _) =
+            minimize((Fuel(40), Fixed("p(x) :- e(x, x).")), always, 1000);
+        assert_eq!(fuel, Fuel(1));
+        assert_eq!(text, "p(x) :- e(x, x).");
     }
 
     #[test]

@@ -13,7 +13,6 @@
 //! * [`Counter`] — a monotonic `AtomicU64`;
 //! * [`Histogram`] — fixed power-of-two buckets plus count/sum/max,
 //!   suitable for sizes and microsecond durations;
-//! * [`Span`] — an RAII timer that records into a histogram on drop;
 //! * a process-global registry, **disabled by default**: when disabled,
 //!   every record path short-circuits on a single relaxed atomic load
 //!   and touches nothing else (asserted by the `cheap_when_disabled`
@@ -55,7 +54,6 @@ pub mod trace;
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, Once, PoisonError};
-use std::time::Instant;
 
 /// Poison-tolerant lock used across the crate: metrics and traces must
 /// keep working after a panic elsewhere in an instrumented region.
@@ -210,13 +208,12 @@ impl Counter {
 }
 
 // ---------------------------------------------------------------------
-// Histograms and span timers
+// Histograms
 // ---------------------------------------------------------------------
 
 /// A histogram over `u64` values with fixed power-of-two buckets (no
 /// allocation, no locks). Used for sizes (delta facts per round, ball
-/// sizes, operator cardinalities) and for microsecond durations via
-/// [`Histogram::span`].
+/// sizes, operator cardinalities) and durations.
 #[derive(Debug)]
 pub struct Histogram {
     name: &'static str,
@@ -262,32 +259,6 @@ impl Histogram {
         self.max.fetch_max(v, Ordering::Relaxed);
         let bucket = ((u64::BITS - v.leading_zeros()) as usize).min(BUCKETS - 1);
         self.buckets[bucket].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Starts an RAII span that records its elapsed time in
-    /// **microseconds** when dropped. While disabled the span holds no
-    /// clock reading and drops for free.
-    #[inline]
-    pub fn span(&'static self) -> Span {
-        Span {
-            hist: self,
-            start: enabled().then(Instant::now),
-        }
-    }
-}
-
-/// An RAII timer from [`Histogram::span`]; records on drop.
-#[derive(Debug)]
-pub struct Span {
-    hist: &'static Histogram,
-    start: Option<Instant>,
-}
-
-impl Drop for Span {
-    fn drop(&mut self) {
-        if let Some(start) = self.start.take() {
-            self.hist.record(start.elapsed().as_micros() as u64);
-        }
     }
 }
 
@@ -547,7 +518,6 @@ mod tests {
     static C1: Counter = Counter::new("test.c1");
     static C2: Counter = Counter::new("test.c2");
     static H1: Histogram = Histogram::new("test.h1");
-    static HT: Histogram = Histogram::new("test.span_us");
 
     #[test]
     fn cheap_when_disabled() {
@@ -558,10 +528,6 @@ mod tests {
         assert_eq!(C1.get(), 0);
         H1.record(9);
         assert_eq!(H1.count.load(Ordering::Relaxed), 0);
-        let span = HT.span();
-        assert!(span.start.is_none(), "no clock read while disabled");
-        drop(span);
-        assert_eq!(HT.count.load(Ordering::Relaxed), 0);
     }
 
     #[test]
@@ -708,21 +674,6 @@ mod tests {
                 last = v;
             }
         }
-    }
-
-    #[test]
-    fn span_records_when_enabled() {
-        let _g = locked();
-        enable();
-        {
-            let _span = HT.span();
-            std::thread::sleep(std::time::Duration::from_millis(2));
-        }
-        let snap = snapshot();
-        let h = snap.histogram("test.span_us").expect("registered");
-        assert_eq!(h.count, 1);
-        assert!(h.sum >= 1_000, "2 ms is at least 1000 µs, got {}", h.sum);
-        disable();
     }
 
     #[test]

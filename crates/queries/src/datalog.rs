@@ -32,14 +32,14 @@
 //! shares with the incremental runtime, and bound-position lookups
 //! probe hash or sorted-prefix indexes from [`fmt_structures::index`]
 //! instead of rescanning extents. Both indexed engines are one
-//! fixpoint driver ([`Fixpoint`], shared with the runtime) over the
+//! fixpoint driver (`join::Fixpoint`, shared with the runtime) over the
 //! input's sorted relations: the semi-naive engine runs each stratum
 //! through it (an initialization pass, then delta rounds planned once
 //! per `(rule, delta position)`), the naive engine repeats its
 //! driverless pass. Every round runs its rule applications inline
 //! below 512 driver rows and hash-sharded across scoped workers above,
 //! then merges their staged output into the stores in a fixed order
-//! ([`join::Runner`]). IDB extents live in
+//! (`join::Runner`). IDB extents live in
 //! columnar [`TupleStore`] arenas: the kernel walks `u32` row ids and
 //! per-column slices, a delta is the list of rows the last round
 //! appended, and the steady-state join loop performs no

@@ -6,7 +6,7 @@
 //! The maintenance algorithm is the classical pair:
 //!
 //! * **insertions** run the delta-rewritten program through the batch
-//!   engine's fixpoint driver ([`Fixpoint::saturate`]): every rule is
+//!   engine's fixpoint driver (`join::Fixpoint::saturate`): every rule is
 //!   planned once per `(rule, delta position)` and driven by the row
 //!   ids appended (or revived) since the last round, joining the other
 //!   body atoms against the full current extents;

@@ -5,7 +5,7 @@
 //! machine-readable code (`F004`, `D001`, …), an optional byte-offset
 //! [`Span`], and an optional note. The type lives here, below both
 //! `fmt-logic` and `fmt-queries`, so that the formula parser, the
-//! Datalog parser, and [`fmt-lint`]'s analyses can all produce the same
+//! Datalog parser, and `fmt-lint`'s analyses can all produce the same
 //! currency without dependency cycles; `fmt-lint` re-exports it as its
 //! diagnostics core.
 //!

@@ -10,6 +10,10 @@ cargo fmt --all -- --check
 echo "==> cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> rustdoc (deny warnings; vendored stand-ins excluded, as in the lint policy)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline \
+    --exclude criterion --exclude proptest --exclude rand --exclude serde --exclude serde_derive
+
 echo "==> tier-1: cargo build --release"
 cargo build --release
 

@@ -47,10 +47,12 @@ fn indexed_parallel_datalog_cancels_promptly_and_loses_no_ticks() {
     fmt_obs::enable();
     fmt_obs::reset();
 
-    // tc_path on a long chain: large enough that the engine is still
-    // deep in the fixpoint when the flag flips, even in release builds.
-    let s = builders::directed_path(512);
-    let prog = Program::transitive_closure();
+    // Same-generation over the depth-9 binary tree: its semi-naive
+    // rounds drive thousands of rows, past the 512 at which the indexed
+    // engine splits jobs across workers, and the fixpoint takes far
+    // longer than the cancellation delay, even in release builds.
+    let s = builders::full_binary_tree(9);
+    let prog = Program::same_generation();
     // Metered (huge fuel) so every tick is counted: the no-lost-ticks
     // check below compares the global counter against `spent()`.
     let budget = Budget::with_fuel(u64::MAX - 1);
@@ -72,13 +74,16 @@ fn indexed_parallel_datalog_cancels_promptly_and_loses_no_ticks() {
     let snap = fmt_obs::snapshot();
     assert_eq!(snap.counter("budget.ticks"), Some(budget.spent()));
     assert!(snap.counter("budget.exhausted.cancelled").unwrap_or(0) >= 1);
+    // The run really was parallel: it split rounds across workers.
+    let sharded = snap.histogram("queries.datalog.shard_imbalance");
+    assert!(sharded.is_some_and(|h| h.count > 0), "no round was sharded");
 
     // No poisoned state: the same program on the same structure still
-    // evaluates to the right fixpoint afterwards.
+    // evaluates to the right fixpoint afterwards: 4^l pairs at level l.
     let out = prog
         .try_eval_seminaive_with(&s, 4, &Budget::unlimited())
         .expect("fresh unlimited run must complete");
-    assert_eq!(out.relation(0).len(), 512 * 511 / 2);
+    assert_eq!(out.relation(0).len(), (4usize.pow(10) - 1) / 3);
 }
 
 #[test]

@@ -9,6 +9,7 @@
 //! loudly.
 
 use fmt_core::queries::datalog::Program;
+use fmt_core::queries::incremental::DatalogRuntime;
 use fmt_core::structures::{builders, Signature, Structure, StructureBuilder};
 use proptest::prelude::*;
 
@@ -159,6 +160,55 @@ fn engines_agree_on_adversarial_inputs() {
             assert_same_fixpoint(&prog, s);
         }
     }
+}
+
+/// Samples recorded so far on `queries.datalog.shard_imbalance`, one
+/// per job a round splits across workers.
+fn shard_samples() -> u64 {
+    (fmt_obs::snapshot().histogram("queries.datalog.shard_imbalance")).map_or(0, |h| h.count)
+}
+
+/// The sharded round. Rounds below 512 driver rows run inline, so the
+/// small inputs above (and every `fmtk conform` case) never split a
+/// job across workers. Same-generation over the depth-6 binary tree
+/// does: its deepest rounds drive thousands of pair rows. Every thread
+/// count must reproduce the one-thread fixpoint and work counters, and
+/// the incremental runtime's rebuild poll, which runs the same rounds,
+/// must too.
+#[test]
+fn sharded_rounds_agree_with_inline_rounds() {
+    // This binary's only metrics user: samples are only ever added, so
+    // a before/after difference is this test's own.
+    fmt_obs::enable();
+    let sg = Program::same_generation();
+    let s = builders::full_binary_tree(6);
+    let one = sg.eval_seminaive_with(&s, 1);
+    for threads in [2, 3] {
+        let before = shard_samples();
+        let out = sg.eval_seminaive_with(&s, threads);
+        if threads == 3 {
+            assert!(shard_samples() > before, "3 threads never sharded a round");
+        }
+        assert_eq!(out.relation(0), one.relation(0), "{threads} threads");
+        assert_eq!(out.iterations, one.iterations, "{threads} threads");
+        assert_eq!(out.derivations, one.derivations, "{threads} threads");
+        assert_eq!(out.delta_history, one.delta_history, "{threads} threads");
+    }
+
+    let mut rt1 = DatalogRuntime::from_structure(sg.clone(), &s).unwrap();
+    let mut rt3 = DatalogRuntime::from_structure(sg, &s).unwrap();
+    rt3.set_threads(3);
+    let poll1 = rt1.poll();
+    let before = shard_samples();
+    let poll3 = rt3.poll();
+    assert!(
+        shard_samples() > before,
+        "the 3-thread rebuild never sharded a round"
+    );
+    assert!(poll1.rebuilt);
+    assert_eq!(poll3, poll1);
+    assert_eq!(rt3.query(0), rt1.query(0));
+    assert_eq!(rt1.query(0), one.relation(0));
 }
 
 #[test]
