@@ -178,7 +178,7 @@ pub fn undirected_edge_count(s: &Structure) -> usize {
 /// The EVEN query: does the structure have an even number of elements?
 /// (The survey's running example of a non-FO-definable query.)
 pub fn even(s: &Structure) -> bool {
-    s.size().is_multiple_of(2)
+    s.size() % 2 == 0
 }
 
 /// The symmetric closure: adds `(v, u)` for every edge `(u, v)`.

@@ -4,7 +4,7 @@
 //!
 //! * batch evaluation ([`crate::datalog`]) runs each stratum, and each
 //!   naive round, through a [`Fixpoint`] over the input structure's
-//!   sorted relations ([`SortedEdb`]);
+//!   sorted relations and adjacency lists ([`SortedEdb`]);
 //! * the incremental runtime ([`crate::incremental`]) runs its rebuild
 //!   (the same stratum pass) and its propagation through a [`Fixpoint`]
 //!   over its columnar, tombstoned EDB stores, and its DRed passes
@@ -20,7 +20,7 @@ use fmt_structures::budget::{Budget, BudgetResult};
 use fmt_structures::index::{self, TupleIndex};
 use fmt_structures::par::fan_out;
 use fmt_structures::store::{self, TupleStore};
-use fmt_structures::{Elem, RelId, Relation, Structure};
+use fmt_structures::{Elem, RelId, Structure};
 use std::borrow::Cow;
 use std::cell::Cell;
 use std::collections::HashMap;
@@ -49,15 +49,21 @@ pub(crate) enum Access {
     Scan,
     /// Hash-index probe on the given bound argument positions.
     Probe(Vec<usize>),
-    /// A [`Access::Probe`] on the bound prefix `0..k` of a sorted EDB
-    /// relation: binary prefix probe, no index build. Never produced by
-    /// [`plan`]; [`SortedEdb`] rewrites probes to this when a plan is
-    /// made.
+    /// A [`Access::Probe`] of a binary EDB relation on the one bound
+    /// column `col`: the input structure's adjacency list of the bound
+    /// value (out-neighbours for column 0, in-neighbours for column 1),
+    /// an offset lookup with no search and no index build. Never
+    /// produced by [`plan`]; [`SortedEdb`] rewrites probes to this when
+    /// a plan is made.
+    Adjacent(usize),
+    /// Any other [`Access::Probe`] on the bound prefix `0..k` of a
+    /// sorted EDB relation: binary prefix probe, no index build.
+    /// Rewritten by [`SortedEdb`] like [`Access::Adjacent`].
     ProbePrefix(usize),
     /// Any other [`Access::Probe`] of a sorted EDB relation: a probe of
     /// the hash index in the given slot of the evaluation's EDB index
     /// table ([`Edb::Sorted`]). Rewritten by [`SortedEdb`] like
-    /// [`Access::ProbePrefix`].
+    /// [`Access::Adjacent`].
     ProbeIndex(usize),
     /// Anti-join check for a negated atom: every argument is bound, so
     /// the fully-instantiated tuple is tested for *absence* from the
@@ -175,10 +181,12 @@ pub(crate) fn plan(
 /// difference between its callers, consulted only by the EDB arms of
 /// [`exec`]. Both arms stay, each for what only it does:
 ///
-/// * batch evaluation reads the immutable input, whose relations are
-///   sorted flat rows: a probe on a bound prefix is two binary searches
-///   and builds no index, and every other probe's index is cached on
-///   the relation for every later evaluation of that input;
+/// * batch evaluation reads the immutable input structure: a probe of a
+///   binary relation on one bound column is an offset lookup in the
+///   structure's adjacency lists, any other probe on a bound prefix is
+///   two binary searches over the sorted flat rows, and neither builds
+///   an index; every other probe's index is cached on the relation for
+///   every later evaluation of that input;
 /// * the runtime needs mutable, tombstoned stores whose row ids are its
 ///   deltas, which sorted rows cannot give.
 ///
@@ -188,10 +196,10 @@ pub(crate) fn plan(
 /// another 3,004 KiB, about +50% of that workload's 9.6 MiB peak.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Edb<'a> {
-    /// Batch evaluation: the input structure's sorted relations
-    /// (indexed by `RelId.0`), plus the hash indexes of the plans'
+    /// Batch evaluation: the input structure (its sorted relations and
+    /// adjacency lists), plus the hash indexes of the plans'
     /// [`Access::ProbeIndex`] slots.
-    Sorted(&'a [&'a Relation], &'a [Arc<TupleIndex>]),
+    Sorted(&'a Structure, &'a [Arc<TupleIndex>]),
     /// The incremental runtime: one columnar, tombstoned extent per
     /// relation (indexed by `RelId.0`), probed through its
     /// `ColumnIndex`es exactly like an IDB.
@@ -201,7 +209,7 @@ pub(crate) enum Edb<'a> {
 /// The extent one body atom reads, resolved through [`Edb`].
 enum Extent<'a> {
     Columnar(&'a IdbStore),
-    Sorted(&'a Relation, &'a [Arc<TupleIndex>]),
+    Sorted(&'a Structure, RelId, &'a [Arc<TupleIndex>]),
 }
 
 /// Everything the join kernel needs for one rule application. Each
@@ -276,7 +284,7 @@ impl<'a> ExecCtx<'a> {
         match (pred, self.edb) {
             (Pred::Idb(j), _) => Extent::Columnar(&self.idb[j]),
             (Pred::Edb(r), Edb::Columnar(edb)) => Extent::Columnar(&edb[r.0]),
-            (Pred::Edb(r), Edb::Sorted(rels, indexes)) => Extent::Sorted(rels[r.0], indexes),
+            (Pred::Edb(r), Edb::Sorted(s, indexes)) => Extent::Sorted(s, r, indexes),
         }
     }
 }
@@ -412,11 +420,11 @@ fn try_candidate(
 /// The join kernel: runs plan step `step_i` under the current binding,
 /// emitting head instantiations once every step is satisfied. Ticks
 /// the budget once per step entered. Candidates are walked as row ids
-/// over columnar stores (skipping tombstoned rows) or as sorted-row
-/// slices — neither path materializes a tuple or a probe key on the
-/// heap. `emit` returns `false` to stop the whole join (the runtime's
-/// remaining-support check wants one witness), which the kernel
-/// forwards as `Ok(false)`.
+/// over columnar stores (skipping tombstoned rows), as sorted-row
+/// slices, or as a bound value and its adjacency list — no path
+/// materializes a tuple or a probe key on the heap. `emit` returns
+/// `false` to stop the whole join (the runtime's remaining-support
+/// check wants one witness), which the kernel forwards as `Ok(false)`.
 fn exec(
     ctx: &ExecCtx<'_>,
     step_i: usize,
@@ -442,7 +450,7 @@ fn exec(
             let t = fill_slice(ctx, n, (0..n).map(bound), &mut stack, &mut heap);
             let present = match extent {
                 Extent::Columnar(ext) => ext.store.contains(t),
-                Extent::Sorted(rel, _) => index::probe_prefix(rel, t).next().is_some(),
+                Extent::Sorted(s, r, _) => index::probe_prefix(s.rel(r), t).next().is_some(),
             };
             if !present {
                 return exec(ctx, step_i + 1, binding, budget, emit);
@@ -481,7 +489,8 @@ fn exec(
                 }
             }
         }
-        (Access::Scan, Extent::Sorted(rel, _)) => {
+        (Access::Scan, Extent::Sorted(s, r, _)) => {
+            let rel = s.rel(r);
             index::note_scan(rel.len() as u64);
             for t in rel.iter() {
                 if !try_candidate(ctx, step_i, |p| t[p], binding, budget, emit)? {
@@ -489,15 +498,32 @@ fn exec(
                 }
             }
         }
-        (Access::ProbePrefix(k), Extent::Sorted(rel, _)) => {
+        (&Access::Adjacent(col), Extent::Sorted(s, r, _)) => {
+            // Adjacency lists are sorted, so candidates come in the
+            // relation's row order, as from a prefix or index probe.
+            let u = bound(col);
+            let ws = if col == 0 {
+                s.out_neighbors(r, u)
+            } else {
+                s.in_neighbors(r, u)
+            };
+            index::note_probe(ws.len() as u64);
+            for &w in ws {
+                let get = |p| if p == col { u } else { w };
+                if !try_candidate(ctx, step_i, get, binding, budget, emit)? {
+                    return Ok(false);
+                }
+            }
+        }
+        (Access::ProbePrefix(k), Extent::Sorted(s, r, _)) => {
             let prefix = fill_slice(ctx, *k, (0..*k).map(bound), &mut stack, &mut heap);
-            for t in index::probe_prefix(rel, prefix) {
+            for t in index::probe_prefix(s.rel(r), prefix) {
                 if !try_candidate(ctx, step_i, |p| t[p], binding, budget, emit)? {
                     return Ok(false);
                 }
             }
         }
-        (Access::ProbeIndex(slot), Extent::Sorted(_, indexes)) => {
+        (Access::ProbeIndex(slot), Extent::Sorted(_, _, indexes)) => {
             let idx = &indexes[*slot];
             let key = idx.key();
             let kv = fill_slice(
@@ -517,10 +543,13 @@ fn exec(
             unreachable!("batch delta drivers are IDB atoms")
         }
         (Access::Probe(_), Extent::Sorted(..)) => {
-            unreachable!("batch EDB probes are rewritten to prefix or slot probes")
+            unreachable!("batch EDB probes are rewritten to adjacency, prefix or slot probes")
         }
-        (Access::ProbePrefix(_) | Access::ProbeIndex(_), Extent::Columnar(_)) => {
-            unreachable!("prefix and slot probes are planned for sorted EDB relations only")
+        (
+            Access::Adjacent(_) | Access::ProbePrefix(_) | Access::ProbeIndex(_),
+            Extent::Columnar(_),
+        ) => {
+            unreachable!("adjacency, prefix and slot probes are planned for the batch EDB only")
         }
     }
     Ok(true)
@@ -732,23 +761,21 @@ pub(crate) trait EdbSource {
     fn view(&self) -> Edb<'_>;
 }
 
-/// Batch evaluation's EDB: the input's sorted relations, and handles to
-/// the hash indexes its plans probe. Each relation builds an index once
-/// and caches it ([`Relation::index`]), so goal after goal on one input
-/// builds none again; plans address an index by its slot here.
+/// Batch evaluation's EDB: the input structure, and handles to the hash
+/// indexes its plans probe. Each relation builds an index once and
+/// caches it ([`fmt_structures::Relation::index`]), so goal after goal
+/// on one input builds none again; plans address an index by its slot
+/// here.
 #[derive(Debug)]
 pub(crate) struct SortedEdb<'s> {
-    /// `s.rel(r)` for every relation, indexed by `RelId.0`.
-    rels: Vec<&'s Relation>,
+    s: &'s Structure,
     slots: Vec<Arc<TupleIndex>>,
 }
 
 impl<'s> SortedEdb<'s> {
     pub(crate) fn new(s: &'s Structure) -> SortedEdb<'s> {
         SortedEdb {
-            rels: (0..s.signature().num_relations())
-                .map(|r| s.rel(RelId(r)))
-                .collect(),
+            s,
             slots: Vec::new(),
         }
     }
@@ -756,17 +783,24 @@ impl<'s> SortedEdb<'s> {
 
 impl EdbSource for SortedEdb<'_> {
     fn extent_len(&self, r: RelId) -> usize {
-        self.rels[r.0].len()
+        self.s.rel(r).len()
     }
 
-    /// A bound prefix `0..k` needs no index — the rows are sorted — so
-    /// it becomes [`Access::ProbePrefix`]; any other key becomes an
-    /// [`Access::ProbeIndex`] into the slot table.
+    /// One bound column of a binary relation is served by the
+    /// structure's adjacency lists ([`Access::Adjacent`]); any other
+    /// bound prefix `0..k` needs no index either — the rows are sorted
+    /// — so it becomes [`Access::ProbePrefix`]; every other key becomes
+    /// an [`Access::ProbeIndex`] into the slot table.
     fn prepare(&mut self, r: RelId, key: &[usize]) -> Access {
+        if let [col] = *key {
+            if self.s.has_adjacency(r) {
+                return Access::Adjacent(col);
+            }
+        }
         if key.iter().enumerate().all(|(i, &p)| i == p) {
             return Access::ProbePrefix(key.len());
         }
-        let idx = self.rels[r.0].index(key);
+        let idx = self.s.rel(r).index(key);
         let slot = self.slots.iter().position(|s| Arc::ptr_eq(s, &idx));
         Access::ProbeIndex(slot.unwrap_or_else(|| {
             self.slots.push(idx);
@@ -775,7 +809,7 @@ impl EdbSource for SortedEdb<'_> {
     }
 
     fn view(&self) -> Edb<'_> {
-        Edb::Sorted(&self.rels, &self.slots)
+        Edb::Sorted(self.s, &self.slots)
     }
 }
 
@@ -1023,7 +1057,7 @@ impl<E: EdbSource> Fixpoint<E> {
 mod tests {
     use super::*;
     use crate::datalog::Program;
-    use fmt_structures::{builders, Signature};
+    use fmt_structures::{builders, Signature, StructureBuilder};
 
     /// The `fresh` invariants the kernel's rollback relies on: the lists
     /// are pairwise disjoint and disjoint from the pre-binding, together
@@ -1111,29 +1145,54 @@ mod tests {
     #[test]
     fn fixpoint_plans_prepare_each_probe_on_its_own_relation() {
         // sg with the delta at position 2: the driver binds xp and yp,
-        // so each edge atom probes the bound prefix of the sorted edge
-        // relation, which needs no index.
+        // so each edge atom probes the binary edge relation on its first
+        // column, which the structure's out-neighbour lists serve.
         let prog = Program::same_generation();
         let s = builders::full_binary_tree(3);
         let mut fx = Fixpoint::new(&prog, SortedEdb::new(&s), s.size(), 1, "test");
         let pi = fx.plan(PlanKey::Driver { rule: 1, pos: 2 });
         assert_eq!(fx.plans[pi][0].access, Access::ScanDelta);
         for step in &fx.plans[pi][1..] {
-            assert_eq!(step.access, Access::ProbePrefix(1), "{:?}", fx.plans[pi]);
+            assert_eq!(step.access, Access::Adjacent(0), "{:?}", fx.plans[pi]);
         }
         // tc with the delta at position 1 binds y, the second column of
-        // e(x, y): a non-prefix key, so the plan probes a slot holding
-        // the edge relation's own index on that column.
+        // e(x, y): the in-neighbour lists serve it, and no slot is taken.
         let prog = Program::transitive_closure();
         let mut fx = Fixpoint::new(&prog, SortedEdb::new(&s), s.size(), 1, "test");
         let pi = fx.plan(PlanKey::Driver { rule: 1, pos: 1 });
+        assert_eq!(fx.plans[pi][1].access, Access::Adjacent(1));
+        assert!(fx.edb.slots.is_empty());
+        // A ternary relation has no adjacency lists: a bound prefix is a
+        // prefix probe, and a non-prefix key probes a slot holding the
+        // relation's own index on that key. A binary atom with both
+        // columns bound is a prefix probe too.
+        let sig = Signature::builder()
+            .relation("E", 2)
+            .relation("T", 3)
+            .finish_arc();
+        let prog = Program::parse(
+            &sig,
+            "f(x, z) :- t(x, l, y), f(y, z). \
+             g(x, z) :- g(x, y), t(y, l, z). \
+             h(x, y) :- h(x, y), e(x, y).",
+        )
+        .unwrap();
+        let t = sig.relation("T").unwrap();
+        let mut b = StructureBuilder::new(Arc::clone(&sig), 4);
+        for i in 0..3 {
+            b.add(t, &[i, 0, i + 1]).unwrap();
+        }
+        let s = b.build().unwrap();
+        let mut fx = Fixpoint::new(&prog, SortedEdb::new(&s), s.size(), 1, "test");
+        let pi = fx.plan(PlanKey::Driver { rule: 0, pos: 1 });
         let Access::ProbeIndex(slot) = fx.plans[pi][1].access else {
-            panic!("edge atom not an index probe: {:?}", fx.plans[pi]);
+            panic!("t atom not an index probe: {:?}", fx.plans[pi]);
         };
-        assert!(Arc::ptr_eq(
-            &fx.edb.slots[slot],
-            &s.rel(RelId(0)).index(&[1])
-        ));
+        assert!(Arc::ptr_eq(&fx.edb.slots[slot], &s.rel(t).index(&[2])));
+        let pi = fx.plan(PlanKey::Driver { rule: 1, pos: 0 });
+        assert_eq!(fx.plans[pi][1].access, Access::ProbePrefix(1));
+        let pi = fx.plan(PlanKey::Driver { rule: 2, pos: 0 });
+        assert_eq!(fx.plans[pi][1].access, Access::ProbePrefix(2));
         // A goal plan binds the head first, so the IDB atom is a probe,
         // and its index exists as soon as the plan is made.
         let prog = Program::same_generation();

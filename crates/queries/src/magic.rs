@@ -649,7 +649,7 @@ impl MagicQuery {
             .filter(|row| {
                 want.iter()
                     .zip(row.iter())
-                    .all(|(w, &e)| w.is_none_or(|w| w == e))
+                    .all(|(w, &e)| w.map_or(true, |w| w == e))
                     && self
                         .resolved
                         .var_groups

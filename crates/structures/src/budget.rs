@@ -270,9 +270,7 @@ impl Budget {
             });
         }
         if let Some(deadline) = inner.deadline {
-            if (spent == 1 || spent.is_multiple_of(DEADLINE_CHECK_PERIOD))
-                && Instant::now() >= deadline
-            {
+            if (spent == 1 || spent % DEADLINE_CHECK_PERIOD == 0) && Instant::now() >= deadline {
                 OBS_EXHAUSTED_DEADLINE.incr();
                 fmt_obs::trace_instant!(
                     "budget.exhausted",

@@ -10,6 +10,8 @@
 //! * [`probe_prefix`] — binary-searches the sorted flat storage of an
 //!   EDB [`Relation`] when the bound positions form a prefix (no build
 //!   cost, reuses the sort that [`Relation`] maintains anyway);
+//! * [`note_probe`] — meters a probe answered elsewhere, such as from
+//!   a binary relation's adjacency lists in [`crate::Structure`];
 //! * [`TupleIndex`] — a hash index over owned flat rows, keyed by an
 //!   arbitrary subset of positions;
 //! * [`ColumnIndex`] — the same keyed lookup over a [`TupleStore`]'s
@@ -80,6 +82,15 @@ pub fn note_scan(tuples: u64) {
     OBS_SCAN_TUPLES.add(tuples);
 }
 
+/// Records one probe operation that yielded `candidates` tuples, for
+/// engines that answer a probe from a structure they hold themselves
+/// (such as a [`crate::Structure`]'s adjacency lists).
+#[inline]
+pub fn note_probe(candidates: u64) {
+    OBS_PROBE_OPS.incr();
+    OBS_PROBES.add(candidates);
+}
+
 /// Probes the sorted row storage of a [`Relation`] for all tuples whose
 /// first `prefix.len()` components equal `prefix`, by binary search.
 ///
@@ -87,8 +98,7 @@ pub fn note_scan(tuples: u64) {
 /// Panics (in debug builds) if `prefix` is longer than the arity.
 pub fn probe_prefix<'a>(rel: &'a Relation, prefix: &[Elem]) -> impl Iterator<Item = &'a [Elem]> {
     let range = rel.prefix_range(prefix);
-    OBS_PROBE_OPS.incr();
-    OBS_PROBES.add(range.len() as u64);
+    note_probe(range.len() as u64);
     rel.rows_in(range)
 }
 

@@ -175,7 +175,7 @@ impl TupleStore {
             || self
                 .dead
                 .get((row / 64) as usize)
-                .is_none_or(|w| w & (1 << (row % 64)) == 0)
+                .map_or(true, |w| w & (1 << (row % 64)) == 0)
     }
 
     /// `true` if the store holds no live rows.

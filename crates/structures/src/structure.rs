@@ -323,6 +323,14 @@ impl Structure {
         self.rels[r.0].contains(tuple)
     }
 
+    /// `true` if `r` has forward and backward adjacency lists, so that
+    /// [`Structure::out_neighbors`] and [`Structure::in_neighbors`]
+    /// answer for it: every binary relation, except after
+    /// deserialization until [`Structure::reindex`].
+    pub fn has_adjacency(&self, r: RelId) -> bool {
+        self.adj.get(r.0).is_some_and(Option::is_some)
+    }
+
     /// Out-neighbors `{v | R(u, v)}` of `u` under a **binary** relation.
     ///
     /// # Panics
@@ -907,7 +915,9 @@ mod tests {
         let e = s.signature().relation("E").unwrap();
         let mut t = s.clone();
         t.adj.clear(); // simulate a freshly deserialized structure
+        assert!(!t.has_adjacency(e));
         t.reindex();
+        assert!(t.has_adjacency(e));
         assert_eq!(t.out_neighbors(e, 1), s.out_neighbors(e, 1));
         assert_eq!(s, t);
     }
