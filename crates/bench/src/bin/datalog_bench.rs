@@ -1,4 +1,7 @@
 //! The Datalog perf harness and every Datalog gate, in one process.
+//! It is the perf side of E7 (DESIGN.md §5): it measures every Datalog
+//! layer, writes `BENCH_datalog.json` and checks every Datalog gate
+//! against pinned baselines.
 //!
 //! Usage: `datalog_bench [CLI_TRACE.json]`, where the optional argument
 //! is a Chrome trace recorded by `fmtk --trace` on `tc_path_512`.
@@ -148,6 +151,15 @@ fn traced(prog: &Program, s: &Structure) -> Trace {
     fmt_obs::trace::start();
     let _ = prog.eval_seminaive(s);
     fmt_obs::trace::stop()
+}
+
+/// The [`phase_ns`] of the fastest of [`BATCH`] traced runs, by total,
+/// so one slow run does not land in the report.
+fn best_phase_ns(prog: &Program, s: &Structure) -> [u64; 5] {
+    (0..BATCH)
+        .map(|_| phase_ns(&traced(prog, s)))
+        .min_by_key(|ns| ns.iter().sum::<u64>())
+        .expect("BATCH is positive")
 }
 
 /// Nanoseconds spent in each of the [`PHASES`] spans of `trace`. The
@@ -324,7 +336,7 @@ fn measure(w: &Workload) -> Row {
         runs: 0,
         compared: count_work(|| prog.eval_seminaive(&s), INDEXED_KEYS),
         scan: Err((w.model)(edges, &indexed.delta_history)),
-        phase_ns: phase_ns(&traced(&prog, &s)),
+        phase_ns: best_phase_ns(&prog, &s),
         threads: Vec::new(),
     };
     // A gated row stops timing once it is inside every timing bound;
@@ -407,12 +419,25 @@ impl Incremental {
 fn measure_incremental(s: &Structure, prog: &Program, tc: &Row) -> Incremental {
     let e = prog.signature().relation("E").expect("graph signature");
     let tuples = tc.output_tuples as usize;
-    let mut rt = DatalogRuntime::from_structure(prog.clone(), s)
-        .expect("benchmark programs are negation-free");
-    let initial_poll_secs = min_secs(1, || {
-        rt.poll();
-    });
-    assert_eq!(rt.query(0).len(), tuples, "initial poll must match batch");
+    // The first poll of each of BATCH fresh runtimes, built untimed.
+    let mut fresh: Vec<DatalogRuntime> = (0..BATCH)
+        .map(|_| {
+            DatalogRuntime::from_structure(prog.clone(), s)
+                .expect("benchmark programs are negation-free")
+        })
+        .collect();
+    let initial_poll_secs = fresh
+        .iter_mut()
+        .map(|rt| {
+            let t0 = Instant::now();
+            rt.poll();
+            t0.elapsed().as_secs_f64()
+        })
+        .fold(f64::INFINITY, f64::min);
+    for rt in &fresh {
+        assert_eq!(rt.query(0).len(), tuples, "initial poll must match batch");
+    }
+    let mut rt = fresh.pop().expect("BATCH is positive");
     let last = [NODES - 2, NODES - 1];
     let mut cycle = || {
         rt.retract(e, &last);

@@ -12,7 +12,7 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> rustdoc (deny warnings; vendored stand-ins excluded, as in the lint policy)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline \
-    --exclude criterion --exclude proptest --exclude rand --exclude serde --exclude serde_derive
+    --exclude proptest --exclude rand --exclude serde --exclude serde_derive
 
 echo "==> tier-1: cargo build --release"
 cargo build --release
@@ -22,6 +22,9 @@ cargo test -q
 
 echo "==> fmtbench: its own workspace, so tier-1 never builds or tests it"
 cargo test --release --offline --manifest-path fmtbench/Cargo.toml
+
+echo "==> datalog_bench unit tests: tier-1 tests only the root package"
+cargo test --release -q -p fmt-bench
 
 echo "==> lint gate: corpus and clean fixtures must pass --deny warnings"
 cargo build --release -q -p fmt-cli

@@ -422,10 +422,43 @@ fn e15_qbf_reduction() {
 }
 
 /// E16 — solver ablation: every configuration computes the same game
-/// values (performance differences are measured in the benches).
+/// values, and on `L_10` vs `L_11` at n = 3 each optimization's effect
+/// is pinned as the positions the solver expands.
 #[test]
 fn e16_solver_ablation_agreement() {
     use fmt_core::games::solver::SolverConfig;
+    let full = SolverConfig::default();
+    let ablations = [
+        (full, 1319),
+        (
+            SolverConfig {
+                memoization: false,
+                ..full
+            },
+            1956,
+        ),
+        (
+            SolverConfig {
+                fresh_move_pruning: false,
+                ..full
+            },
+            1370,
+        ),
+        (
+            SolverConfig {
+                profile_ordering: false,
+                ..full
+            },
+            1319,
+        ),
+    ];
+    let (a, b) = (builders::linear_order(10), builders::linear_order(11));
+    for (cfg, expanded) in ablations {
+        let mut solver = EfSolver::with_config(&a, &b, cfg);
+        assert!(solver.duplicator_wins(3));
+        assert_eq!(solver.stats.expanded, expanded, "{cfg:?}");
+    }
+
     let pairs = [
         (builders::linear_order(5), builders::linear_order(7)),
         (builders::undirected_cycle(5), builders::undirected_cycle(6)),
