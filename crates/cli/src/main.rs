@@ -598,8 +598,8 @@ fn run_incremental(
 ) -> CliResult {
     use fmt_core::queries::incremental::DatalogRuntime;
     let prog = &parsed.program;
-    // The runtime is stratification-free (DRed under negation is out
-    // of scope); reject negated programs up front with the span of the
+    // The runtime is stratification-free (maintenance under negation is
+    // out of scope); reject negated programs up front with the span of the
     // first negated atom rather than panicking mid-maintenance.
     let mut rt = DatalogRuntime::from_structure(prog.clone(), s).map_err(|e| {
         CliFailure::Error(

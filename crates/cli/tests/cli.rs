@@ -218,8 +218,9 @@ fn datalog_incremental_maintains_under_updates() {
     );
     let text = String::from_utf8_lossy(&out.stdout);
     // Poll 1 materializes the seed structure from scratch; the final
-    // poll runs DRed: retracting E(1,2) kills the 4 closure pairs that
-    // crossed it, leaving tc = {(0,1), (2,3)}.
+    // poll retracts E(1,2): the 4 closure pairs that crossed it lose
+    // every proof and are the only facts deleted, leaving
+    // tc = {(0,1), (2,3)}.
     assert!(text.contains("poll 1: +1 -0 edb, 1 derived"), "{text}");
     assert!(text.contains("(rebuild)"), "{text}");
     assert!(

@@ -1029,8 +1029,13 @@ fn check_incremental(src: &str, trace: &UpdateTrace, fuel: u64) -> Result<(), St
     }
 
     // Half one: unbudgeted trace equivalence, at each thread count of
-    // the matrix's indexed engine.
+    // the matrix's indexed engine. A maintained poll whose net updates
+    // are retractions only must tombstone exactly the facts the
+    // scratch extents lost: backward/forward retraction deletes only
+    // facts left without a proof. (The first poll rebuilds, so the
+    // empty extents before it are never compared.)
     let mut facts = BTreeSet::new();
+    let mut polled: (BTreeSet<(u32, u32)>, Extents) = (BTreeSet::new(), Vec::new());
     let mut runtimes: Vec<DatalogRuntime> = (MATRIX.iter())
         .filter_map(|engine| match *engine {
             Engine::Indexed(threads) => Some(threads),
@@ -1059,8 +1064,17 @@ fn check_incremental(src: &str, trace: &UpdateTrace, fuel: u64) -> Result<(), St
             continue;
         }
         let want = incr_scratch(&prog, trace.domain, &facts);
+        let retractions_only = facts.is_subset(&polled.0);
+        let lost: usize = (polled.1.iter().zip(&want))
+            .map(|(before, now)| {
+                before
+                    .iter()
+                    .filter(|t| now.binary_search(t).is_err())
+                    .count()
+            })
+            .sum();
         for rt in &mut runtimes {
-            rt.poll();
+            let stats = rt.poll();
             let got = extents(prog.num_idbs(), |i| rt.query(i));
             if let Some(i) = (0..want.len()).find(|&i| got[i] != want[i]) {
                 return Err(format!(
@@ -1072,7 +1086,16 @@ fn check_incremental(src: &str, trace: &UpdateTrace, fuel: u64) -> Result<(), St
                     want[i]
                 ));
             }
+            if retractions_only && !stats.rebuilt && stats.overdeleted != lost as u64 {
+                return Err(format!(
+                    "runtime({} threads) tombstoned {} facts at poll (op {step}), \
+                     but scratch lost {lost}",
+                    rt.threads(),
+                    stats.overdeleted
+                ));
+            }
         }
+        polled = (facts.clone(), want);
     }
 
     // Half two: the same trace under one tight shared fuel budget must

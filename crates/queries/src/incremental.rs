@@ -3,21 +3,21 @@
 //! fact insertions and retractions instead of recomputing from scratch
 //! (see `docs/incremental.md`).
 //!
-//! The maintenance algorithm is the classical pair:
+//! The maintenance algorithm:
 //!
 //! * **insertions** run the delta-rewritten program through the batch
 //!   engine's fixpoint driver (`join::Fixpoint::saturate`): every rule is
 //!   planned once per `(rule, delta position)` and driven by the row
 //!   ids appended (or revived) since the last round, joining the other
 //!   body atoms against the full current extents;
-//! * **retractions** run DRed (delete–rederive): an over-deletion pass
-//!   applies the same delta rules with the retracted facts as drivers
-//!   against the *pre-deletion* extents, marking every fact with a
-//!   derivation through a deleted fact; marked facts are tombstoned,
-//!   then each is checked for *remaining support* by a goal-directed
-//!   join (head variables pre-bound to the candidate's values) and
-//!   revived if any rule body still fires — with the revivals fed back
-//!   through insertion propagation to rescue downstream casualties.
+//! * **retractions** run Backward/Forward (Motik, Nenov, Piro, Horrocks,
+//!   AAAI 2015): the retracted facts seed a deletion worklist of the
+//!   heads of their rule instances. Before a candidate is tombstoned, a
+//!   backward search over the live facts (goal plans, head variables
+//!   pre-bound) asks whether it still has a proof, built bottom-up from
+//!   surviving EDB facts; only a candidate without one is tombstoned
+//!   and queues the heads of its own instances. So exactly the facts
+//!   that lost every proof are deleted, and nothing has to be revived.
 //!
 //! Both directions ride on [`TupleStore`]'s logical deletion: a
 //! tombstoned row keeps its arena slot and its row id, re-inserting the
@@ -27,7 +27,7 @@
 //! invalidate ids, runs only between polls once tombstones dominate).
 //!
 //! The driver owns the EDB and IDB stores and the one plan cache that
-//! propagation, over-deletion and the support check share. A from-
+//! propagation and retraction share. A from-
 //! scratch rebuild is the batch engine's stratum pass on that driver,
 //! round for round. A budget-exhausted poll leaves the stores
 //! half-maintained; the runtime remembers this and the next poll falls
@@ -36,14 +36,16 @@
 //! under `queries.incr.*` and traced as `datalog.incr.*` spans around
 //! the driver's `datalog.init` / `datalog.round` spans.
 
-use crate::datalog::{head_idb, IdbStore, Pred, Program};
-use crate::join::{self, Fixpoint, PlanKey};
+use crate::datalog::{head_idb, IdbStore, Pred, Program, Rule};
+use crate::join::{Fixpoint, PlanKey, PlanRef};
 use fmt_structures::budget::{Budget, BudgetResult};
 use fmt_structures::index::ColumnIndex;
 use fmt_structures::par::resolve_threads;
 use fmt_structures::store::TupleStore;
 use fmt_structures::{Elem, RelId, Structure};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+use std::sync::Arc;
 
 /// Budget tick site label for the incremental maintenance loop.
 const AT: &str = "queries.incr";
@@ -56,9 +58,9 @@ static OBS_INSERTED: fmt_obs::Counter = fmt_obs::Counter::new("queries.incr.inse
 static OBS_RETRACTED: fmt_obs::Counter = fmt_obs::Counter::new("queries.incr.retracted_facts");
 /// IDB facts added (first derivations and propagation revivals).
 static OBS_DERIVED: fmt_obs::Counter = fmt_obs::Counter::new("queries.incr.derived_facts");
-/// IDB facts tombstoned by the DRed over-deletion pass.
+/// IDB facts tombstoned by retraction: those that lost every proof.
 static OBS_OVERDELETED: fmt_obs::Counter = fmt_obs::Counter::new("queries.incr.overdeleted");
-/// Over-deleted facts revived by the direct remaining-support check.
+/// Deletion candidates the backward search proved and kept.
 static OBS_REDERIVED: fmt_obs::Counter = fmt_obs::Counter::new("queries.incr.rederived");
 /// Delta propagation rounds across all polls.
 static OBS_ROUNDS: fmt_obs::Counter = fmt_obs::Counter::new("queries.incr.rounds");
@@ -74,12 +76,13 @@ pub struct PollStats {
     pub retracted: u64,
     /// IDB facts added: first derivations plus propagation revivals.
     pub derived: u64,
-    /// IDB facts tombstoned by the DRed over-deletion pass.
+    /// IDB facts tombstoned by retraction: exactly those that lost
+    /// every proof.
     pub overdeleted: u64,
-    /// Over-deleted facts revived by the direct support check.
+    /// Deletion candidates that the backward search proved and kept.
     pub rederived: u64,
-    /// Over-deletion and propagation rounds run (a rebuild propagates
-    /// for the batch engine's `iterations - 1` rounds).
+    /// Propagation rounds run (a rebuild propagates for the batch
+    /// engine's `iterations - 1` rounds).
     pub rounds: u64,
     /// `true` if this poll recomputed from scratch (first poll, or
     /// recovery after a budget-exhausted poll).
@@ -90,9 +93,9 @@ pub struct PollStats {
 type PendingOp = (bool, RelId, Vec<Elem>);
 
 /// The incremental runtime does not maintain programs with negation:
-/// DRed (delete–rederive) under stratified negation needs per-stratum
-/// over-deletion with *sign-flipped* deltas, which is explicitly out of
-/// scope here (see `docs/incremental.md`). [`DatalogRuntime::new`]
+/// retraction under stratified negation needs maintenance stratum by
+/// stratum with *sign-flipped* deltas, which is out of scope here (see
+/// `docs/incremental.md`). [`DatalogRuntime::new`]
 /// rejects such programs with this typed error instead of panicking —
 /// use the batch engines, which evaluate stratum by stratum.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -142,7 +145,7 @@ pub struct DatalogRuntime {
     /// The fixpoint driver: one columnar extent per signature relation
     /// (indexed by `RelId.0`) and per IDB predicate, and the plans.
     fx: Fixpoint<Vec<IdbStore>>,
-    /// Rule indices grouped by head IDB (the rederivation worklist).
+    /// Rule indices grouped by head IDB (the backward search's goals).
     rules_by_head: Vec<Vec<usize>>,
     pending: Vec<PendingOp>,
     /// `true` while the materialization may not match the fact base: on
@@ -382,9 +385,10 @@ impl DatalogRuntime {
         })
     }
 
-    /// Incremental path: DRed retraction (overdelete, tombstone,
-    /// rederive), then delta-rewritten insertion, then one shared
-    /// propagation to the new fixpoint.
+    /// Incremental path: backward/forward retraction, then
+    /// delta-rewritten insertion and its propagation to the new
+    /// fixpoint. Retraction deletes exactly the facts that lost every
+    /// proof, so nothing needs rescuing afterwards.
     fn maintain(
         &mut self,
         order: &[(RelId, Vec<Elem>)],
@@ -404,10 +408,15 @@ impl DatalogRuntime {
             }
         }
 
-        let mut revived_delta: Vec<Vec<u32>> = vec![Vec::new(); self.fx.idb.len()];
         if !to_retract.is_empty() {
-            let over = self.overdelete(&to_retract, budget, stats)?;
-            self.rederive(&over, &mut revived_delta, budget, stats)?;
+            let mut span = fmt_obs::trace_span!("datalog.incr.retract", facts = to_retract.len());
+            let (fx, by_head) = (&mut self.fx, &self.rules_by_head);
+            let checked = Retraction::run(fx, by_head, &to_retract, budget, stats)?;
+            span.record_field("checked", checked);
+            span.record_field("overdeleted", stats.overdeleted);
+            span.record_field("rederived", stats.rederived);
+            OBS_OVERDELETED.add(stats.overdeleted);
+            OBS_REDERIVED.add(stats.rederived);
         }
 
         let mut edb_delta: Vec<Vec<u32>> = vec![Vec::new(); self.fx.edb.len()];
@@ -425,157 +434,19 @@ impl DatalogRuntime {
             }
             drop(span);
         }
-        self.propagate(edb_delta, revived_delta, budget, stats)
-    }
-
-    /// DRed phase one: semi-naive over-deletion against the
-    /// pre-deletion extents, then tombstoning. Returns the marked rows
-    /// per IDB, in discovery order.
-    fn overdelete(
-        &mut self,
-        to_retract: &[(RelId, Vec<Elem>)],
-        budget: &Budget,
-        stats: &mut PollStats,
-    ) -> BudgetResult<Vec<Vec<u32>>> {
-        let mut span = fmt_obs::trace_span!("datalog.incr.retract", facts = to_retract.len());
-        let (edb, idb) = (&self.fx.edb, &self.fx.idb);
-        let mut edb_delta: Vec<Vec<u32>> = vec![Vec::new(); edb.len()];
-        for (rel, t) in to_retract {
-            let row = edb[rel.0]
-                .store
-                .find(t)
-                .expect("to_retract holds present tuples");
-            edb_delta[rel.0].push(row);
-        }
-        let mut over: Vec<Vec<u32>> = vec![Vec::new(); idb.len()];
-        let mut marked: Vec<Vec<bool>> = idb
-            .iter()
-            .map(|r| vec![false; r.store.rows32() as usize])
-            .collect();
-        let mut idb_delta: Vec<Vec<u32>> = vec![Vec::new(); idb.len()];
-        let rules = self.program.rules();
-        loop {
-            stats.rounds += 1;
-            OBS_ROUNDS.incr();
-            let jobs = join::delta_jobs(rules, 0..rules.len(), |p| match p {
-                Pred::Edb(r) => edb_delta[r.0].as_slice(),
-                Pred::Idb(j) => idb_delta[j].as_slice(),
-            });
-            if jobs.is_empty() {
-                break;
-            }
-            let mut next_delta: Vec<Vec<u32>> = vec![Vec::new(); idb_delta.len()];
-            for (rule, pos, driver) in jobs {
-                let h = head_idb(&rules[rule]);
-                let (marks, fresh) = (&mut marked[h], &mut next_delta[h]);
-                let key = PlanKey::Driver { rule, pos };
-                self.fx
-                    .exec_with(key, driver, &[], budget, &mut |head, t| {
-                        // Every emitted head had a derivation over the old
-                        // extents, so it is in the old fixpoint; mark it
-                        // for deletion once.
-                        if let Some(row) = head.find(t) {
-                            if !marks[row as usize] {
-                                marks[row as usize] = true;
-                                fresh.push(row);
-                            }
-                        }
-                        true
-                    })?;
-            }
-            for r in &mut edb_delta {
-                r.clear();
-            }
-            let mut any = false;
-            for (j, fresh) in next_delta.iter_mut().enumerate() {
-                any |= !fresh.is_empty();
-                over[j].extend_from_slice(fresh);
-            }
-            idb_delta = next_delta;
-            if !any {
-                break;
-            }
-        }
-        // Mutate only now that the over-deletion fixpoint is done: the
-        // passes above must join against the *pre-deletion* extents.
-        for (rel, t) in to_retract {
-            if self.fx.edb[rel.0].store.remove(t).is_some() {
-                stats.retracted += 1;
-            }
-        }
-        for (j, rows) in over.iter().enumerate() {
-            for &row in rows {
-                self.fx.idb[j].store.remove_row(row);
-            }
-            stats.overdeleted += rows.len() as u64;
-        }
-        OBS_OVERDELETED.add(stats.overdeleted);
-        span.record_field("overdeleted", stats.overdeleted);
-        Ok(over)
-    }
-
-    /// DRed phase two: for every over-deleted fact, a goal-directed
-    /// join (head variables pre-bound) asks whether any rule body still
-    /// fires over the post-deletion extents; survivors are revived.
-    /// Facts rescued only *through* a survivor are caught later by
-    /// propagation, with the revivals as deltas.
-    fn rederive(
-        &mut self,
-        over: &[Vec<u32>],
-        revived_delta: &mut [Vec<u32>],
-        budget: &Budget,
-        stats: &mut PollStats,
-    ) -> BudgetResult<()> {
-        let mut span = fmt_obs::trace_span!(
-            "datalog.incr.rederive",
-            candidates = over.iter().map(Vec::len).sum::<usize>()
-        );
-        let mut tuple = Vec::new();
-        for (j, rows) in over.iter().enumerate() {
-            for &row in rows {
-                self.fx.idb[j].store.read_row_into(row, &mut tuple);
-                let t = std::mem::take(&mut tuple);
-                if self.derivable(j, &t, budget)? {
-                    let revived = self.fx.idb[j]
-                        .store
-                        .push_if_new(&t)
-                        .expect("over-deleted rows are dead, so re-insertion revives");
-                    debug_assert_eq!(revived, row, "revival returns the tombstoned row id");
-                    revived_delta[j].push(revived);
-                    stats.rederived += 1;
-                }
-                tuple = t;
-            }
-        }
-        OBS_REDERIVED.add(stats.rederived);
-        span.record_field("rederived", stats.rederived);
-        Ok(())
-    }
-
-    /// `true` iff some rule with head `idb` derives `t` from the
-    /// current live extents (the remaining-support test of DRed).
-    fn derivable(&mut self, idb: usize, t: &[Elem], budget: &Budget) -> BudgetResult<bool> {
-        for &rule in &self.rules_by_head[idb] {
-            // The first witness suffices: `emit` stops the join, and
-            // the kernel reports the stop as `Ok(false)`.
-            let key = PlanKey::Goal { rule };
-            if !self.fx.exec_with(key, &[], t, budget, &mut |_, _| false)? {
-                return Ok(true);
-            }
-        }
-        Ok(false)
+        self.propagate(edb_delta, budget, stats)
     }
 
     /// Semi-naive propagation of the delta-rewritten program through
-    /// the driver, from the EDB insertions and the revived IDB rows.
+    /// the driver, from the EDB insertions.
     fn propagate(
         &mut self,
         edb_delta: Vec<Vec<u32>>,
-        idb_delta: Vec<Vec<u32>>,
         budget: &Budget,
         stats: &mut PollStats,
     ) -> BudgetResult<()> {
         let all: Vec<usize> = (0..self.program.rules().len()).collect();
+        let idb_delta = vec![Vec::new(); self.fx.idb.len()];
         self.fx
             .saturate(&all, &edb_delta, idb_delta, budget, &mut |new, _| {
                 stats.rounds += 1;
@@ -583,6 +454,426 @@ impl DatalogRuntime {
                 stats.derived += new;
                 OBS_DERIVED.add(new);
             })
+    }
+}
+
+/// One IDB fact of a retraction: its IDB index in the high half, its
+/// row id in the low half. Row ids stay put for the whole poll
+/// (compaction runs only after it), so a fact keeps its key.
+type Fact = u64;
+
+fn fact(idb: usize, row: u32) -> Fact {
+    (idb as u64) << 32 | u64::from(row)
+}
+
+fn split(f: Fact) -> (usize, u32) {
+    ((f >> 32) as usize, f as u32)
+}
+
+/// Flag: the fact entered the deletion worklist.
+const QUEUED: u8 = 1;
+/// Flag: the fact's backward search has started.
+const CHECKED: u8 = 2;
+/// Flag: the fact is proved bottom-up from surviving EDB facts.
+const PROVED: u8 = 4;
+
+/// Hashes a row id with one multiply and a fold. Row ids are handed out
+/// by the stores, never taken from the input, so they need no
+/// protection against crafted collisions, and std's SipHash would cost
+/// more than the lookup.
+#[derive(Default)]
+struct RowHasher(u64);
+
+impl Hasher for RowHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _bytes: &[u8]) {
+        unreachable!("row keys are u32")
+    }
+
+    fn write_u32(&mut self, row: u32) {
+        let h = u64::from(row).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        self.0 = h ^ (h >> 32);
+    }
+}
+
+/// The flags of the facts one retraction touched: per IDB, a map from
+/// row id to [`QUEUED`] / [`CHECKED`] / [`PROVED`]. Sized by the facts
+/// touched (eight bytes a bucket), not by the stores.
+#[derive(Debug, Default)]
+struct Marks(Vec<HashMap<u32, u8, BuildHasherDefault<RowHasher>>>);
+
+impl Marks {
+    fn new(idbs: usize) -> Marks {
+        Marks((0..idbs).map(|_| HashMap::default()).collect())
+    }
+
+    fn get(&self, f: Fact) -> u8 {
+        let (j, row) = split(f);
+        self.0[j].get(&row).copied().unwrap_or(0)
+    }
+
+    /// Sets `flag` on `f`; returns the flags it had.
+    fn set(&mut self, f: Fact, flag: u8) -> u8 {
+        let (j, row) = split(f);
+        let m = self.0[j].entry(row).or_default();
+        let old = *m;
+        *m |= flag;
+        old
+    }
+}
+
+/// One open fact of the backward search. It takes its rule instances
+/// a few at a time and checks their unchecked body facts,
+/// `children[next..end]`, in turn; its children start at `start`.
+#[derive(Debug, Clone, Copy)]
+struct Frame {
+    fact: Fact,
+    start: usize,
+    next: usize,
+    end: usize,
+    /// The rule (an index into the fact's `rules_by_head`) whose
+    /// instances come next, and whether its first instance is taken.
+    rule: usize,
+    first_taken: bool,
+}
+
+/// The plans one retraction runs, resolved from the driver's cache on
+/// first use in the poll: each rule's driver plan per body position,
+/// then its goal plan.
+#[derive(Debug, Default)]
+struct Plans {
+    /// Rule `r`'s slots are `first[r]..first[r + 1]`.
+    first: Vec<usize>,
+    slots: Vec<Option<PlanRef>>,
+}
+
+impl Plans {
+    fn new(rules: &[Rule]) -> Plans {
+        let mut first = vec![0];
+        for rule in rules {
+            first.push(first.last().expect("starts at 0") + rule.body.len() + 1);
+        }
+        let slots = vec![None; *first.last().expect("starts at 0")];
+        Plans { first, slots }
+    }
+
+    fn get(&mut self, fx: &mut Fixpoint<Vec<IdbStore>>, key: PlanKey) -> PlanRef {
+        let slot = match key {
+            PlanKey::Driver { rule, pos } => self.first[rule] + pos,
+            PlanKey::Goal { rule } => self.first[rule + 1] - 1,
+        };
+        *self.slots[slot].get_or_insert_with(|| fx.resolve(key))
+    }
+}
+
+/// Backward/forward retraction (Motik, Nenov, Piro, Horrocks, AAAI
+/// 2015): the deletion worklist and the proof search of one poll. Its
+/// sets are sized by the facts the poll explores, and freed with it.
+///
+/// A fact is *proved* only bottom-up: forward-chained from surviving
+/// EDB facts over facts whose search has started. So support that runs
+/// in a cycle — `tc(0,1)` from `tc(1,1)` from `tc(0,1)` — never proves
+/// itself. A fact whose search finished unproved has no proof: each of
+/// its instances has a body fact that is deleted or itself finished
+/// unproved.
+#[derive(Debug, Default)]
+struct Retraction {
+    marks: Marks,
+    /// Deletion candidates, in discovery order.
+    queue: Vec<Fact>,
+    /// The backward search's stack, in place of recursion: a proof may
+    /// be as deep as the input.
+    frames: Vec<Frame>,
+    children: Vec<Fact>,
+    /// Scratch: proved facts not yet chained forward, one instance's
+    /// IDB body facts, one searched head, one body tuple.
+    proved: Vec<Fact>,
+    body: Vec<Fact>,
+    head: Vec<Elem>,
+    tuple: Vec<Elem>,
+    /// Facts whose backward search started this poll.
+    checked: u64,
+    plans: Plans,
+}
+
+impl Retraction {
+    /// Retracts `to_retract` (present EDB facts) and tombstones every
+    /// IDB fact left without a proof. Each retracted fact queues the
+    /// heads of its rule instances, then goes. The queue is then worked
+    /// in discovery order: a candidate with a proof stays (counted as
+    /// `rederived`); one without is tombstoned (`overdeleted`) and
+    /// queues the heads of its own instances. Returns the number of
+    /// facts whose backward search started.
+    fn run(
+        fx: &mut Fixpoint<Vec<IdbStore>>,
+        rules_by_head: &[Vec<usize>],
+        to_retract: &[(RelId, Vec<Elem>)],
+        budget: &Budget,
+        stats: &mut PollStats,
+    ) -> BudgetResult<u64> {
+        let rules = Arc::clone(&fx.runner.rules);
+        let mut r = Retraction {
+            marks: Marks::new(fx.idb.len()),
+            plans: Plans::new(&rules),
+            ..Retraction::default()
+        };
+        for (rel, t) in to_retract {
+            let row = (fx.edb[rel.0].store.find(t)).expect("to_retract holds present tuples");
+            r.delete(fx, &rules, Pred::Edb(*rel), row, budget)?;
+            fx.edb[rel.0].store.remove_row(row);
+            stats.retracted += 1;
+        }
+        let mut next = 0;
+        while let Some(&f) = r.queue.get(next) {
+            next += 1;
+            if r.provable(fx, &rules, rules_by_head, f, budget)? {
+                stats.rederived += 1;
+                continue;
+            }
+            let (j, row) = split(f);
+            r.delete(fx, &rules, Pred::Idb(j), row, budget)?;
+            fx.idb[j].store.remove_row(row);
+            stats.overdeleted += 1;
+        }
+        Ok(r.checked)
+    }
+
+    /// Queues the head of every rule instance with `row` of `pred` in
+    /// its body, over the facts not deleted yet — the fact itself still
+    /// among them, so an instance using it twice is found.
+    fn delete(
+        &mut self,
+        fx: &mut Fixpoint<Vec<IdbStore>>,
+        rules: &[Rule],
+        pred: Pred,
+        row: u32,
+        budget: &Budget,
+    ) -> BudgetResult<()> {
+        let Retraction {
+            marks,
+            queue,
+            plans,
+            ..
+        } = self;
+        for (rule, pos) in uses(rules, pred) {
+            let h = head_idb(&rules[rule]);
+            let plan = plans.get(fx, PlanKey::Driver { rule, pos });
+            fx.exec_with(plan, &[row], &[], budget, &mut |idb, head, _| {
+                // A head deleted earlier has no live row.
+                if let Some(hr) = idb[h].store.find(head) {
+                    if marks.set(fact(h, hr), QUEUED) & QUEUED == 0 {
+                        queue.push(fact(h, hr));
+                    }
+                }
+                true
+            })?;
+        }
+        Ok(())
+    }
+
+    /// Whether `f` still has a proof: the backward search from `f`,
+    /// depth first on [`Retraction::frames`]. A frame is done when its
+    /// fact is proved, or when it has taken every instance and checked
+    /// every child, exactly as the recursive search returns; so when
+    /// `f`'s search ends, every fact it opened is proved or finished.
+    fn provable(
+        &mut self,
+        fx: &mut Fixpoint<Vec<IdbStore>>,
+        rules: &[Rule],
+        rules_by_head: &[Vec<usize>],
+        f: Fact,
+        budget: &Budget,
+    ) -> BudgetResult<bool> {
+        if self.marks.get(f) & CHECKED == 0 {
+            self.open(f, budget)?;
+            while let Some(&top) = self.frames.last() {
+                if self.marks.get(top.fact) & PROVED != 0 {
+                    self.children.truncate(top.start);
+                    self.frames.pop();
+                } else if top.next < top.end {
+                    let child = self.children[top.next];
+                    self.frames.last_mut().expect("top exists").next += 1;
+                    if self.marks.get(child) & CHECKED == 0 {
+                        self.open(child, budget)?;
+                    }
+                } else if !self.take_instances(fx, rules, rules_by_head, budget)? {
+                    self.children.truncate(top.start);
+                    self.frames.pop();
+                }
+            }
+        }
+        Ok(self.marks.get(f) & PROVED != 0)
+    }
+
+    /// Starts `f`'s backward search with a frame that has taken no
+    /// instance yet.
+    fn open(&mut self, f: Fact, budget: &Budget) -> BudgetResult<()> {
+        budget.tick(AT)?;
+        self.checked += 1;
+        self.marks.set(f, CHECKED);
+        let start = self.children.len();
+        self.frames.push(Frame {
+            fact: f,
+            start,
+            next: start,
+            end: start,
+            rule: 0,
+            first_taken: false,
+        });
+        Ok(())
+    }
+
+    /// Takes the top frame's next rule instances over the live facts,
+    /// with the head-bound goal plans: a rule's first instance alone
+    /// (in a chain, its proof usually proves the fact, and the other
+    /// instances are never probed), then all the rest. An instance
+    /// whose IDB body facts are all proved (or that has none) proves
+    /// the fact at once; otherwise its unchecked body facts become the
+    /// frame's children. Returns `false` once every rule's instances
+    /// are taken.
+    fn take_instances(
+        &mut self,
+        fx: &mut Fixpoint<Vec<IdbStore>>,
+        rules: &[Rule],
+        rules_by_head: &[Vec<usize>],
+        budget: &Budget,
+    ) -> BudgetResult<bool> {
+        let top = self.frames.last_mut().expect("a frame is open");
+        let f = top.fact;
+        let (j, row) = split(f);
+        let Retraction {
+            marks,
+            children,
+            body,
+            head,
+            tuple,
+            plans,
+            ..
+        } = self;
+        fx.idb[j].store.read_row_into(row, head);
+        while let Some(&rule) = rules_by_head[j].get(top.rule) {
+            let r = &rules[rule];
+            let plan = plans.get(fx, PlanKey::Goal { rule });
+            let (first_only, mut skip) = (!top.first_taken, top.first_taken);
+            let (mut taken, mut proved) = (false, false);
+            fx.exec_with(plan, &[], head, budget, &mut |idb, _, b| {
+                if std::mem::take(&mut skip) {
+                    return true;
+                }
+                taken = true;
+                body.clear();
+                push_body_facts(r, idb, b, tuple, body);
+                if body.iter().all(|&g| marks.get(g) & PROVED != 0) {
+                    proved = true;
+                    return false;
+                }
+                let unchecked = body.iter().filter(|&&g| marks.get(g) & CHECKED == 0);
+                children.extend(unchecked);
+                !first_only
+            })?;
+            if proved {
+                self.prove(fx, rules, f, budget)?;
+                return Ok(true);
+            }
+            if first_only && taken {
+                top.first_taken = true;
+            } else {
+                top.rule += 1;
+                top.first_taken = false;
+            }
+            if taken {
+                top.end = children.len();
+                return Ok(true);
+            }
+        }
+        Ok(false)
+    }
+
+    /// Marks `f` proved and chains forward: the head of every rule
+    /// instance whose IDB body facts are all proved is proved too, if
+    /// its search has started. Facts never checked take no part, so a
+    /// proof always bottoms out in surviving EDB facts.
+    fn prove(
+        &mut self,
+        fx: &mut Fixpoint<Vec<IdbStore>>,
+        rules: &[Rule],
+        f: Fact,
+        budget: &Budget,
+    ) -> BudgetResult<()> {
+        self.marks.set(f, PROVED);
+        self.proved.push(f);
+        let Retraction {
+            marks,
+            proved,
+            body,
+            tuple,
+            plans,
+            ..
+        } = self;
+        while let Some(x) = proved.pop() {
+            let (j, row) = split(x);
+            for (rule, pos) in uses(rules, Pred::Idb(j)) {
+                let r = &rules[rule];
+                let h = head_idb(r);
+                let plan = plans.get(fx, PlanKey::Driver { rule, pos });
+                fx.exec_with(plan, &[row], &[], budget, &mut |idb, head, b| {
+                    let Some(hr) = idb[h].store.find(head) else {
+                        return true;
+                    };
+                    let hf = fact(h, hr);
+                    if marks.get(hf) & (CHECKED | PROVED) != CHECKED {
+                        return true;
+                    }
+                    body.clear();
+                    push_body_facts(r, idb, b, tuple, body);
+                    if body.iter().all(|&g| marks.get(g) & PROVED != 0) {
+                        marks.set(hf, PROVED);
+                        proved.push(hf);
+                    }
+                    true
+                })?;
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Every `(rule, body position)` where `pred` occurs positively.
+fn uses(rules: &[Rule], pred: Pred) -> impl Iterator<Item = (usize, usize)> + '_ {
+    rules.iter().enumerate().flat_map(move |(ri, rule)| {
+        (rule.body.iter().enumerate())
+            .filter(move |(_, a)| a.pred == pred && !a.negated)
+            .map(move |(pos, _)| (ri, pos))
+    })
+}
+
+/// Pushes the fact of each positive IDB body atom of `rule` under the
+/// instance's `binding`; its EDB atoms matched surviving facts, which
+/// need no proof.
+fn push_body_facts(
+    rule: &Rule,
+    idb: &[IdbStore],
+    binding: &[Option<Elem>],
+    tuple: &mut Vec<Elem>,
+    out: &mut Vec<Fact>,
+) {
+    for atom in rule.body.iter().filter(|a| !a.negated) {
+        if let Pred::Idb(j) = atom.pred {
+            tuple.clear();
+            tuple.extend(
+                atom.args
+                    .iter()
+                    .map(|&v| binding[v as usize].expect("body var bound")),
+            );
+            let row = idb[j]
+                .store
+                .find(tuple)
+                .expect("the kernel matched a live row");
+            out.push(fact(j, row));
+        }
     }
 }
 
@@ -660,7 +951,7 @@ mod tests {
     }
 
     #[test]
-    fn retraction_runs_dred_and_matches_scratch() {
+    fn retraction_deletes_what_lost_its_proof_and_matches_scratch() {
         let mut rt = DatalogRuntime::new(Program::transitive_closure(), 6).unwrap();
         for u in 0..5 {
             rt.insert(e(), &[u, u + 1]);
@@ -668,7 +959,9 @@ mod tests {
         rt.poll();
         rt.retract(e(), &[2, 3]);
         let stats = rt.poll();
-        assert!(stats.overdeleted > 0);
+        // The 3 · 3 pairs from {0, 1, 2} to {3, 4, 5} crossed the edge.
+        assert_eq!(stats.overdeleted, 9);
+        assert_eq!(stats.rederived, 0);
         assert_matches_scratch(&rt);
         let tc = rt.program().idb("tc").unwrap();
         assert!(!rt.query(tc).contains(&[0, 5]));
@@ -677,7 +970,7 @@ mod tests {
     }
 
     #[test]
-    fn rederivation_revives_surviving_support() {
+    fn backward_search_keeps_facts_with_surviving_support() {
         // Two parallel paths 0→1→3 and 0→2→3: retracting one leaves
         // tc(0,3) derivable through the other.
         let mut rt = DatalogRuntime::new(Program::transitive_closure(), 4).unwrap();
@@ -687,10 +980,95 @@ mod tests {
         rt.poll();
         rt.retract(e(), &[1, 3]);
         let stats = rt.poll();
-        assert!(stats.rederived > 0, "tc(0,3) must be rederived");
+        assert_eq!(stats.overdeleted, 1, "only tc(1,3) lost its proof");
+        assert_eq!(stats.rederived, 1, "tc(0,3) must be proved and kept");
         assert_matches_scratch(&rt);
         let tc = rt.program().idb("tc").unwrap();
         assert!(rt.query(tc).contains(&[0, 3]));
+    }
+
+    #[test]
+    fn cyclic_support_does_not_prove_itself() {
+        // TC of the 3-cycle 0→1→2→0 holds all 9 pairs, each supported
+        // through the cycle; without E(2,0) only (0,1), (0,2), (1,2)
+        // have a proof.
+        let mut rt = DatalogRuntime::new(Program::transitive_closure(), 3).unwrap();
+        for &(u, v) in &[(0, 1), (1, 2), (2, 0)] {
+            rt.insert(e(), &[u, v]);
+        }
+        rt.poll();
+        let tc = rt.program().idb("tc").unwrap();
+        assert_eq!(rt.query(tc).len(), 9);
+        rt.retract(e(), &[2, 0]);
+        let stats = rt.poll();
+        assert_matches_scratch(&rt);
+        assert_eq!(stats.overdeleted, 6);
+    }
+
+    #[test]
+    fn mutual_support_without_a_base_is_deleted() {
+        // With 0⇄1 and 1→2, tc(0,2) and tc(1,2) each have an instance
+        // through the other; without E(1,2) neither has a proof.
+        let mut rt = DatalogRuntime::new(Program::transitive_closure(), 3).unwrap();
+        for &(u, v) in &[(0, 1), (1, 0), (1, 2)] {
+            rt.insert(e(), &[u, v]);
+        }
+        rt.poll();
+        rt.retract(e(), &[1, 2]);
+        let stats = rt.poll();
+        assert_matches_scratch(&rt);
+        assert_eq!((stats.overdeleted, stats.rederived), (2, 0));
+        let tc = rt.program().idb("tc").unwrap();
+        assert!(!rt.query(tc).contains(&[0, 2]));
+        assert!(rt.query(tc).contains(&[0, 0]));
+    }
+
+    #[test]
+    fn searches_finish_every_fact_they_open() {
+        // A conform-found program where a search proves its root while a
+        // fact it opened deeper is still unproved with instances left to
+        // take. Dropping the open frames then would leave that fact
+        // looking unprovable, and a later candidate check would delete
+        // it.
+        let sig = fmt_structures::Signature::graph();
+        let src = "p(x, y) :- e(x, y). q(x) :- e(x, x). hit :- e(x, y). \
+                   p(x, w) :- p(y, w), p(y, z). p(y, x) :- e(w, y). q(x) :- e(w, y), hit.";
+        let mut rt = DatalogRuntime::new(Program::parse(&sig, src).unwrap(), 2).unwrap();
+        rt.insert(e(), &[1, 0]);
+        rt.insert(e(), &[0, 0]);
+        rt.poll();
+        rt.retract(e(), &[1, 0]);
+        rt.poll();
+        assert_matches_scratch(&rt);
+    }
+
+    #[test]
+    fn deep_proofs_search_without_recursion() {
+        // Reachability from s(0) along a chain 0→1→…→N, plus a shortcut
+        // 0→N. Retracting the shortcut leaves r(N) with one proof, N
+        // facts deep; the search must not grow the thread's stack.
+        const N: u32 = 200_000;
+        let sig = fmt_structures::Signature::builder()
+            .relation("S", 1)
+            .relation("E", 2)
+            .finish_arc();
+        let (s, e) = (sig.relation("S").unwrap(), sig.relation("E").unwrap());
+        let src = "r(y) :- s(x), e(x, y).\nr(z) :- r(y), e(y, z).\n";
+        let prog = Program::parse(&sig, src).unwrap();
+        let r = prog.idb("r").unwrap();
+        let mut rt = DatalogRuntime::new(prog, N + 1).unwrap();
+        rt.insert(s, &[0]);
+        for u in 0..N {
+            rt.insert(e, &[u, u + 1]);
+        }
+        rt.insert(e, &[0, N]);
+        rt.poll();
+        assert_eq!(rt.query(r).len(), N as usize);
+        rt.retract(e, &[0, N]);
+        let stats = rt.poll();
+        assert_eq!((stats.overdeleted, stats.rederived), (0, 1));
+        assert_eq!(rt.query(r).len(), N as usize);
+        assert!(rt.query(r).contains(&[N]));
     }
 
     #[test]

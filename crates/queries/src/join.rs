@@ -7,8 +7,8 @@
 //!   sorted relations and adjacency lists ([`SortedEdb`]);
 //! * the incremental runtime ([`crate::incremental`]) runs its rebuild
 //!   (the same stratum pass) and its propagation through a [`Fixpoint`]
-//!   over its columnar, tombstoned EDB stores, and its DRed passes
-//!   through [`Fixpoint::exec_with`] on the same plan cache;
+//!   over its columnar, tombstoned EDB stores, and its backward/forward
+//!   retraction through [`Fixpoint::exec_with`] on the same plan cache;
 //! * the magic-sets rewrite ([`crate::magic`]) takes its static SIP
 //!   order from [`plan`] with no extents.
 //!
@@ -19,7 +19,7 @@ use crate::datalog::{rule_num_vars, Atom, IdbStore, Pred, Program, Rule};
 use fmt_structures::budget::{Budget, BudgetResult};
 use fmt_structures::index::{self, TupleIndex};
 use fmt_structures::par::fan_out;
-use fmt_structures::store::{self, TupleStore};
+use fmt_structures::store;
 use fmt_structures::{Elem, RelId, Structure};
 use std::borrow::Cow;
 use std::cell::Cell;
@@ -266,11 +266,7 @@ impl<'a> ExecCtx<'a> {
     }
 
     /// Runs the whole plan from an empty binding; see [`exec`].
-    fn run(
-        &self,
-        budget: &Budget,
-        emit: &mut dyn FnMut(usize, &[Elem]) -> bool,
-    ) -> BudgetResult<bool> {
+    fn run(&self, budget: &Budget, emit: &mut Emit<'_>) -> BudgetResult<bool> {
         exec(
             self,
             0,
@@ -288,6 +284,13 @@ impl<'a> ExecCtx<'a> {
         }
     }
 }
+
+/// One value per rule variable, `None` while unbound.
+pub(crate) type Binding = [Option<Elem>];
+
+/// The kernel's sink: sees each head tuple with the binding of the rule
+/// instance that emitted it, and returns `false` to stop the join.
+type Emit<'a> = dyn FnMut(&[Elem], &Binding) -> bool + 'a;
 
 /// Stack capacity for probe keys, prefixes, and head tuples — wide
 /// enough for every realistic atom; wider tuples spill to the heap and
@@ -318,14 +321,15 @@ fn fill_slice<'b>(
 }
 
 /// Emits every instantiation of the head under the current binding;
-/// unbound head variables range over the whole domain. Returns
+/// unbound head variables range over the whole domain. `emit` sees the
+/// head tuple and the complete binding of the rule instance. Returns
 /// `Ok(false)` as soon as `emit` does; the binding is fully restored
 /// before returning either way.
 fn emit_head_unbound(
     ctx: &ExecCtx<'_>,
     binding: &mut [Option<Elem>],
     budget: &Budget,
-    emit: &mut dyn FnMut(usize, &[Elem]) -> bool,
+    emit: &mut Emit<'_>,
 ) -> BudgetResult<bool> {
     fn rec(
         ctx: &ExecCtx<'_>,
@@ -333,7 +337,7 @@ fn emit_head_unbound(
         unbound: &[u32],
         i: usize,
         budget: &Budget,
-        emit: &mut dyn FnMut(usize, &[Elem]) -> bool,
+        emit: &mut Emit<'_>,
     ) -> BudgetResult<bool> {
         if i == unbound.len() {
             budget.tick(ctx.site)?;
@@ -349,7 +353,7 @@ fn emit_head_unbound(
                 &mut stack,
                 &mut heap,
             );
-            return Ok(emit(ctx.head_idb, t));
+            return Ok(emit(t, binding));
         }
         let mut result = Ok(true);
         for d in 0..ctx.domain {
@@ -390,7 +394,7 @@ fn try_candidate(
     get: impl Fn(usize) -> Elem,
     binding: &mut [Option<Elem>],
     budget: &Budget,
-    emit: &mut dyn FnMut(usize, &[Elem]) -> bool,
+    emit: &mut Emit<'_>,
 ) -> BudgetResult<bool> {
     ctx.probes.set(ctx.probes.get() + 1);
     let step = &ctx.plan[step_i];
@@ -423,14 +427,14 @@ fn try_candidate(
 /// over columnar stores (skipping tombstoned rows), as sorted-row
 /// slices, or as a bound value and its adjacency list — no path
 /// materializes a tuple or a probe key on the heap. `emit` returns
-/// `false` to stop the whole join (the runtime's remaining-support
-/// check wants one witness), which the kernel forwards as `Ok(false)`.
+/// `false` to stop the whole join (the runtime's proof search wants one
+/// witness), which the kernel forwards as `Ok(false)`.
 fn exec(
     ctx: &ExecCtx<'_>,
     step_i: usize,
     binding: &mut [Option<Elem>],
     budget: &Budget,
-    emit: &mut dyn FnMut(usize, &[Elem]) -> bool,
+    emit: &mut Emit<'_>,
 ) -> BudgetResult<bool> {
     budget.tick(ctx.site)?;
     if step_i == ctx.plan.len() {
@@ -721,7 +725,8 @@ impl Runner {
             let ctx = ExecCtx::new(rule, job.plan, edb, idb, driver, self.domain, self.site);
             let staged0: usize = staged.bufs.iter().map(Vec::len).sum();
             let mut derived = 0u64;
-            ctx.run(budget, &mut |h, t| {
+            let h = ctx.head_idb;
+            ctx.run(budget, &mut |t, _| {
                 derived += 1;
                 staged.bufs[h].extend_from_slice(t);
                 staged.counts[h] += 1;
@@ -738,15 +743,29 @@ impl Runner {
     }
 }
 
+/// The sink of [`Fixpoint::exec_with`]: sees the IDB stores, each head
+/// tuple and the binding of its rule instance, and returns `false` to
+/// stop the join.
+pub(crate) type InstanceSink<'a> = dyn FnMut(&[IdbStore], &[Elem], &Binding) -> bool + 'a;
+
 /// Key of the [`Fixpoint`] plan cache. Driverless passes are not
 /// cached: they plan afresh on the extents they start from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub(crate) enum PlanKey {
     /// Delta-driven: body position `pos` iterates the delta rows.
     Driver { rule: usize, pos: usize },
-    /// No driver, head variables pre-bound: the runtime's DRed
-    /// remaining-support check.
+    /// No driver, head variables pre-bound: the runtime's backward
+    /// proof search.
     Goal { rule: usize },
+}
+
+/// A plan of a [`Fixpoint`]'s cache and its rule, resolved once by
+/// [`Fixpoint::resolve`] so that a caller running it many times skips
+/// the cache lookup.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct PlanRef {
+    plan: usize,
+    rule: usize,
 }
 
 /// One EDB representation a [`Fixpoint`] evaluates over (see [`Edb`]
@@ -1019,24 +1038,43 @@ impl<E: EdbSource> Fixpoint<E> {
         }
     }
 
-    /// Runs `key`'s rule application with its head bound to `head`
-    /// (empty for a [`PlanKey::Driver`]) and `driver` as the delta
-    /// rows, sending each emission to `emit` with the head's store
-    /// instead of merging it. Returns `Ok(false)` as soon as `emit`
-    /// does, and `Ok(true)` at once when the rule's head cannot take
-    /// the values `head`.
+    /// `key`'s cached plan, for [`Fixpoint::exec_with`]; valid until
+    /// the next [`Fixpoint::restart`].
+    pub(crate) fn resolve(&mut self, key: PlanKey) -> PlanRef {
+        let (PlanKey::Driver { rule, .. } | PlanKey::Goal { rule }) = key;
+        PlanRef {
+            plan: self.plan(key),
+            rule,
+        }
+    }
+
+    /// Runs one rule application of `plan` with its head bound to
+    /// `head` (empty for a [`PlanKey::Driver`] plan) and `driver` as
+    /// the delta rows, sending each emission to `emit` instead of
+    /// merging it, with the binding the caller reads the instance's
+    /// body facts from. Returns `Ok(false)` as soon as `emit` does, and
+    /// `Ok(true)` at once when the rule's head cannot take the values
+    /// `head`.
     pub(crate) fn exec_with(
-        &mut self,
-        key: PlanKey,
+        &self,
+        plan: PlanRef,
         driver: &[u32],
         head: &[Elem],
         budget: &Budget,
-        emit: &mut dyn FnMut(&TupleStore, &[Elem]) -> bool,
+        emit: &mut InstanceSink<'_>,
     ) -> BudgetResult<bool> {
-        let pi = self.plan(key);
-        let (PlanKey::Driver { rule, .. } | PlanKey::Goal { rule }) = key;
-        let rule = &self.runner.rules[rule];
-        let mut binding = vec![None; rule_num_vars(rule)];
+        let rule = &self.runner.rules[plan.rule];
+        // The runtime calls this once per fact it checks, so the binding
+        // lives on the stack unless the rule is unusually wide.
+        let n = rule_num_vars(rule);
+        let mut stack = [None; 2 * VAL_STACK];
+        let mut heap = Vec::new();
+        let binding = if n <= stack.len() {
+            &mut stack[..n]
+        } else {
+            heap.resize(n, None);
+            &mut heap[..]
+        };
         for (&v, &e) in rule.head.args.iter().zip(head) {
             match binding[v as usize] {
                 Some(b) if b != e => return Ok(true),
@@ -1045,11 +1083,9 @@ impl<E: EdbSource> Fixpoint<E> {
         }
         let (domain, site) = (self.runner.domain, self.runner.site);
         let edb = self.edb.view();
-        let ctx = ExecCtx::new(rule, &self.plans[pi], edb, &self.idb, driver, domain, site);
-        let head_store = &self.idb[ctx.head_idb].store;
-        exec(&ctx, 0, &mut binding, budget, &mut |_, t| {
-            emit(head_store, t)
-        })
+        let idb = &self.idb;
+        let ctx = ExecCtx::new(rule, &self.plans[plan.plan], edb, idb, driver, domain, site);
+        exec(&ctx, 0, binding, budget, &mut |t, b| emit(idb, t, b))
     }
 }
 

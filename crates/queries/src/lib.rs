@@ -19,7 +19,8 @@
 //!   by the engines and by `fmt-lint`'s D006–D009 codes;
 //! * [`incremental`] — a long-lived Datalog runtime maintaining the
 //!   semi-naive fixpoint under fact insertions and retractions
-//!   (delta rules + DRed) instead of recomputing from scratch;
+//!   (delta rules + backward/forward retraction) instead of
+//!   recomputing from scratch;
 //! * [`magic`] — magic-sets rewriting: query goals (`tc("a", y)?`),
 //!   bound/free adornment along the join planner's binding order, and
 //!   `magic_*` demand predicates, so the batch engines evaluate

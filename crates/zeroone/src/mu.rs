@@ -2,14 +2,18 @@
 //!
 //! `μₙ(Q) = |{A ∈ STRUC(σ, n) : A ⊨ Q}| / |STRUC(σ, n)|`. For tiny `n`
 //! we enumerate the space exactly; for moderate `n` we estimate by
-//! parallel Monte-Carlo sampling (std scoped threads, one seeded
-//! RNG per worker, deterministic given the base seed). Experiment E13
-//! produces the convergence tables `μₙ(Q₁) → 0` and `μₙ(Q₂) → 1`.
+//! parallel Monte-Carlo sampling (`par::fan_out` workers, one seeded
+//! RNG per sample, so the estimate depends on the base seed alone).
+//! Experiment E13 produces the convergence tables `μₙ(Q₁) → 0` and
+//! `μₙ(Q₂) → 1`.
 
 use crate::sample;
 use fmt_logic::Formula;
 use fmt_structures::budget::{Budget, BudgetResult};
+use fmt_structures::par::{fan_out, resolve_threads};
 use fmt_structures::Signature;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use std::sync::Arc;
 
 /// Budget tick site label for the μ engines.
@@ -52,18 +56,22 @@ pub fn try_mu_exact(
 }
 
 /// Monte-Carlo estimate of `μₙ` from `samples` uniform structures,
-/// split across `threads` workers (deterministic given `seed`).
+/// deterministic given `seed` and the same at any thread count (see
+/// [`try_mu_estimate`]); samples run on the automatic thread count.
 ///
 /// # Panics
 /// Panics if `f` is not a sentence or `samples == 0`.
 pub fn mu_estimate(sig: &Arc<Signature>, n: u32, f: &Formula, samples: u32, seed: u64) -> f64 {
-    try_mu_estimate(sig, n, f, samples, seed, &Budget::unlimited())
+    try_mu_estimate(sig, n, f, samples, seed, 0, &Budget::unlimited())
         .expect("unlimited budget cannot exhaust")
 }
 
-/// Budgeted [`mu_estimate`]: all sampling workers share `budget` (one
-/// clone each), so exhaustion or cancellation stops every worker
-/// cooperatively.
+/// Budgeted [`mu_estimate`] over `threads` workers (`0` = automatic,
+/// [`resolve_threads`]). Sample `i` draws its structure from its own
+/// RNG, seeded from `(seed, i)`, so the estimate depends on `seed`
+/// alone, never on how the samples are split. All workers share
+/// `budget`, so exhaustion or cancellation stops every worker; when
+/// several exhaust, the earliest (fewest ticks spent) is reported.
 ///
 /// # Panics
 /// Panics if `f` is not a sentence or `samples == 0`.
@@ -73,65 +81,48 @@ pub fn try_mu_estimate(
     f: &Formula,
     samples: u32,
     seed: u64,
+    threads: usize,
     budget: &Budget,
 ) -> BudgetResult<f64> {
     assert!(f.is_sentence(), "mu requires a Boolean query");
     assert!(samples > 0);
-    let threads = (fmt_structures::par::resolve_threads(0) as u32).min(samples);
+    let threads = resolve_threads(threads).min(samples as usize);
     let mut span = fmt_obs::trace_span!(
         "zeroone.mu_estimate",
         n = n,
         samples = samples,
         threads = threads
     );
-    // Workers are raw scoped threads (not `fan_out`), so span parentage
-    // must be carried across by hand.
-    let parent = fmt_obs::trace::current_parent();
-    let hits = std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for w in 0..threads {
-            let sig = sig.clone();
-            let f = f.clone();
-            let budget = budget.clone();
-            // Split the sample budget as evenly as possible.
-            let quota = samples / threads + u32::from(w < samples % threads);
-            handles.push(scope.spawn(move || -> BudgetResult<u32> {
-                fmt_obs::trace::with_parent(parent, || {
-                    let mut chunk_span =
-                        fmt_obs::trace_span!("zeroone.mu_estimate.chunk", quota = quota);
-                    use rand::rngs::StdRng;
-                    use rand::SeedableRng;
-                    let mut rng = StdRng::seed_from_u64(
-                        seed ^ (0x9E37_79B9_7F4A_7C15u64.wrapping_mul(w as u64 + 1)),
-                    );
-                    let mut hits = 0u32;
-                    for _ in 0..quota {
-                        budget.tick(AT)?;
-                        let s = sample::uniform_structure(&sig, n, &mut rng);
-                        if fmt_eval::relalg::check_sentence_budgeted(&s, &f, &budget)? {
-                            hits += 1;
-                        }
-                    }
-                    chunk_span.record_field("hits", hits);
-                    Ok(hits)
-                })
-            }));
-        }
+    let indices: Vec<u32> = (0..samples).collect();
+    let outcomes = fan_out(threads, &indices, |chunk| -> BudgetResult<u32> {
+        let mut chunk_span =
+            fmt_obs::trace_span!("zeroone.mu_estimate.chunk", samples = chunk.len());
         let mut hits = 0u32;
-        let mut err = None;
-        for h in handles {
-            match h.join().unwrap() {
-                Ok(n) => hits += n,
-                Err(e) => err = err.or(Some(e)),
+        for &i in chunk {
+            budget.tick(AT)?;
+            let mut rng = StdRng::seed_from_u64(sample_seed(seed, i));
+            let s = sample::uniform_structure(sig, n, &mut rng);
+            if fmt_eval::relalg::check_sentence_budgeted(&s, f, budget)? {
+                hits += 1;
             }
         }
-        match err {
-            Some(e) => Err(e),
-            None => Ok(hits),
-        }
-    })?;
+        chunk_span.record_field("hits", hits);
+        Ok(hits)
+    });
+    // Several workers can exhaust the shared budget at once; report the
+    // earliest, so the error does not depend on scheduling.
+    let earliest = outcomes.iter().filter_map(|o| o.as_ref().err());
+    if let Some(e) = earliest.min_by_key(|e| e.spent) {
+        return Err(e.clone());
+    }
+    let hits: u32 = outcomes.into_iter().flatten().sum();
     span.record_field("hits", hits);
     Ok(f64::from(hits) / f64::from(samples))
+}
+
+/// The RNG seed of sample `i` under base seed `seed`.
+fn sample_seed(seed: u64, i: u32) -> u64 {
+    seed ^ 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(u64::from(i) + 1)
 }
 
 /// Monte-Carlo estimate of `μₙ` under the **biased** product measure
@@ -153,8 +144,6 @@ pub fn mu_estimate_biased(
     assert!(f.is_sentence(), "mu requires a Boolean query");
     assert!((0.0..=1.0).contains(&p));
     assert!(samples > 0);
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
     let mut rng = StdRng::seed_from_u64(seed);
     let mut hits = 0u32;
     for _ in 0..samples {
@@ -262,6 +251,33 @@ mod tests {
         let a = mu_estimate(&sig, 5, &f, 500, 7);
         let b = mu_estimate(&sig, 5, &f, 500, 7);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn estimate_is_the_same_at_any_thread_count() {
+        let sig = Signature::graph();
+        let f = parse_formula(&sig, "exists x y. E(x, y) & E(y, x) & !E(x, x)").unwrap();
+        let budget = Budget::unlimited();
+        let at = |threads| try_mu_estimate(&sig, 4, &f, 301, 9, threads, &budget).unwrap();
+        let one = at(1);
+        assert!(0.0 < one && one < 1.0, "{one}");
+        assert_eq!(one, at(3));
+        assert_eq!(one, mu_estimate(&sig, 4, &f, 301, 9));
+    }
+
+    #[test]
+    fn exhaustion_is_reported_at_any_thread_count() {
+        let sig = Signature::graph();
+        let f = parse_formula(&sig, "exists x. E(x, x)").unwrap();
+        let run = |threads| {
+            try_mu_estimate(&sig, 3, &f, 50, 1, threads, &Budget::with_fuel(20))
+                .expect_err("20 ticks cannot check 50 samples")
+        };
+        // One thread exhausts at the same tick every time; more report
+        // the earliest of their workers' exhaustions.
+        assert_eq!(run(1), run(1));
+        assert_eq!(run(1).spent, 21);
+        assert!(run(3).spent >= 21);
     }
 
     #[test]

@@ -265,7 +265,7 @@ fn rules_with_more_than_128_variables_roll_back_exactly() {
 /// Probe keys wider than the kernel's 8-slot stack buffer spill to the
 /// heap. The runtime probes its columnar EDB on 9 bound positions here
 /// (`r` joined with itself on its first nine columns) and on all 10
-/// in the goal-directed rederivation check; maintenance under one
+/// in the goal-directed proof search; maintenance under one
 /// insert and one retract must still equal batch evaluation.
 #[test]
 fn wide_atoms_probe_through_the_heap_spill() {
