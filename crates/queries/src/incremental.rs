@@ -411,7 +411,8 @@ impl DatalogRuntime {
         if !to_retract.is_empty() {
             let mut span = fmt_obs::trace_span!("datalog.incr.retract", facts = to_retract.len());
             let (fx, by_head) = (&mut self.fx, &self.rules_by_head);
-            let checked = Retraction::run(fx, by_head, &to_retract, budget, stats)?;
+            let (affected, checked) = Retraction::run(fx, by_head, &to_retract, budget, stats)?;
+            span.record_field("affected", affected);
             span.record_field("checked", checked);
             span.record_field("overdeleted", stats.overdeleted);
             span.record_field("rederived", stats.rederived);
@@ -468,6 +469,35 @@ fn fact(idb: usize, row: u32) -> Fact {
 
 fn split(f: Fact) -> (usize, u32) {
     ((f >> 32) as usize, f as u32)
+}
+
+/// The IDB facts a retraction can reach: per IDB, one bit per row id,
+/// set for every fact with a rule instance that uses a retracted fact
+/// or a reached one. Any other live fact keeps the derivation it had,
+/// since none of its facts is retracted, so the backward search counts
+/// it as proved without opening it. Until the set is computed
+/// (`None`), every fact counts as affected. One bit a row, freed with
+/// the poll.
+#[derive(Debug, Default)]
+struct Affected(Option<Vec<Vec<u64>>>);
+
+impl Affected {
+    fn contains(&self, f: Fact) -> bool {
+        let (j, row) = split(f);
+        (self.0.as_ref()).map_or(true, |bits| {
+            bits[j][row as usize / 64] & 1 << (row % 64) != 0
+        })
+    }
+
+    /// Adds `f` to a computed set; returns `true` if it was not in yet.
+    fn insert(&mut self, f: Fact) -> bool {
+        let (j, row) = split(f);
+        let bits = self.0.as_mut().expect("the set is being computed");
+        let (word, bit) = (&mut bits[j][row as usize / 64], 1 << (row % 64));
+        let new = *word & bit == 0;
+        *word |= bit;
+        new
+    }
 }
 
 /// Flag: the fact entered the deletion worklist.
@@ -571,17 +601,25 @@ impl Plans {
 
 /// Backward/forward retraction (Motik, Nenov, Piro, Horrocks, AAAI
 /// 2015): the deletion worklist and the proof search of one poll. Its
-/// sets are sized by the facts the poll explores, and freed with it.
+/// sets are sized by the facts the poll explores (the affected set, one
+/// bit a row), and freed with it.
+///
+/// When a search first has a body fact to open, the candidates'
+/// consequences are closed forward into [`Affected`]. A live fact
+/// outside that set still has the derivation it had, so the search
+/// stops there: it opens only affected facts, and a candidate costs its
+/// own rule instances, not a walk down its whole proof.
 ///
 /// A fact is *proved* only bottom-up: forward-chained from surviving
-/// EDB facts over facts whose search has started. So support that runs
-/// in a cycle — `tc(0,1)` from `tc(1,1)` from `tc(0,1)` — never proves
-/// itself. A fact whose search finished unproved has no proof: each of
-/// its instances has a body fact that is deleted or itself finished
-/// unproved.
+/// EDB facts and unaffected facts over facts whose search has started.
+/// So support that runs in a cycle — `tc(0,1)` from `tc(1,1)` from
+/// `tc(0,1)` — never proves itself. A fact whose search finished
+/// unproved has no proof: each of its instances has a body fact that is
+/// deleted or itself finished unproved.
 #[derive(Debug, Default)]
 struct Retraction {
     marks: Marks,
+    affected: Affected,
     /// Deletion candidates, in discovery order.
     queue: Vec<Fact>,
     /// The backward search's stack, in place of recursion: a proof may
@@ -594,6 +632,8 @@ struct Retraction {
     body: Vec<Fact>,
     head: Vec<Elem>,
     tuple: Vec<Elem>,
+    /// Facts reached by the forward closure this poll.
+    reached: u64,
     /// Facts whose backward search started this poll.
     checked: u64,
     plans: Plans,
@@ -606,14 +646,14 @@ impl Retraction {
     /// in discovery order: a candidate with a proof stays (counted as
     /// `rederived`); one without is tombstoned (`overdeleted`) and
     /// queues the heads of its own instances. Returns the number of
-    /// facts whose backward search started.
+    /// affected facts and of facts whose backward search started.
     fn run(
         fx: &mut Fixpoint<Vec<IdbStore>>,
         rules_by_head: &[Vec<usize>],
         to_retract: &[(RelId, Vec<Elem>)],
         budget: &Budget,
         stats: &mut PollStats,
-    ) -> BudgetResult<u64> {
+    ) -> BudgetResult<(u64, u64)> {
         let rules = Arc::clone(&fx.runner.rules);
         let mut r = Retraction {
             marks: Marks::new(fx.idb.len()),
@@ -638,7 +678,60 @@ impl Retraction {
             fx.idb[j].store.remove_row(row);
             stats.overdeleted += 1;
         }
-        Ok(r.checked)
+        Ok((r.reached, r.checked))
+    }
+
+    /// Computes [`Retraction::affected`]: the live queued facts, closed
+    /// forward — the head of every rule instance with an affected fact
+    /// in its body is affected. Runs once, when the first search is
+    /// about to open a body fact; until then no search has opened one,
+    /// so no earlier verdict leaned on a fact's being affected. A live
+    /// fact that an affected one's deletion would queue is affected,
+    /// and the facts deleted so far queued the heads of their
+    /// instances already, so the closure over the live facts misses
+    /// none. The worklist is [`Retraction::children`], empty here.
+    fn reach(
+        &mut self,
+        fx: &mut Fixpoint<Vec<IdbStore>>,
+        rules: &[Rule],
+        budget: &Budget,
+    ) -> BudgetResult<()> {
+        let Retraction {
+            affected,
+            queue,
+            children: work,
+            plans,
+            reached,
+            ..
+        } = self;
+        affected.0 = Some(
+            (fx.idb.iter())
+                .map(|r| vec![0; (r.store.rows32() as usize).div_ceil(64)])
+                .collect(),
+        );
+        let live = |f: &Fact| {
+            let (j, row) = split(*f);
+            fx.idb[j].store.is_live(row)
+        };
+        let seeds: Vec<Fact> = queue.iter().copied().filter(live).collect();
+        work.extend(seeds.into_iter().filter(|&f| affected.insert(f)));
+        while let Some(f) = work.pop() {
+            budget.tick(AT)?;
+            *reached += 1;
+            let (j, row) = split(f);
+            for (rule, pos) in uses(rules, Pred::Idb(j)) {
+                let h = head_idb(&rules[rule]);
+                let plan = plans.get(fx, PlanKey::Driver { rule, pos });
+                fx.exec_with(plan, &[row], &[], budget, &mut |idb, head, _| {
+                    let hf = fact(h, idb[h].store.find(head).expect("heads are materialized"));
+                    if affected.insert(hf) {
+                        work.push(hf);
+                    }
+                    true
+                })?;
+            }
+        }
+        Ok(())
     }
 
     /// Queues the head of every rule instance with `row` of `pred` in
@@ -693,6 +786,16 @@ impl Retraction {
                 if self.marks.get(top.fact) & PROVED != 0 {
                     self.children.truncate(top.start);
                     self.frames.pop();
+                } else if top.next < top.end && self.affected.0.is_none() {
+                    // The first fact a search would open: compute the
+                    // affected set, then retake this root's instances
+                    // knowing which body facts need no search.
+                    debug_assert_eq!(self.frames.len(), 1, "no search opened a fact yet");
+                    self.children.truncate(top.start);
+                    self.reach(fx, rules, budget)?;
+                    let top = self.frames.last_mut().expect("top exists");
+                    (top.next, top.end, top.rule, top.first_taken) =
+                        (top.start, top.start, 0, false);
                 } else if top.next < top.end {
                     let child = self.children[top.next];
                     self.frames.last_mut().expect("top exists").next += 1;
@@ -746,6 +849,7 @@ impl Retraction {
         let (j, row) = split(f);
         let Retraction {
             marks,
+            affected,
             children,
             body,
             head,
@@ -753,12 +857,13 @@ impl Retraction {
             plans,
             ..
         } = self;
+        let proved = |g: Fact| !affected.contains(g) || marks.get(g) & PROVED != 0;
         fx.idb[j].store.read_row_into(row, head);
         while let Some(&rule) = rules_by_head[j].get(top.rule) {
             let r = &rules[rule];
             let plan = plans.get(fx, PlanKey::Goal { rule });
             let (first_only, mut skip) = (!top.first_taken, top.first_taken);
-            let (mut taken, mut proved) = (false, false);
+            let (mut taken, mut found) = (false, false);
             fx.exec_with(plan, &[], head, budget, &mut |idb, _, b| {
                 if std::mem::take(&mut skip) {
                     return true;
@@ -766,15 +871,16 @@ impl Retraction {
                 taken = true;
                 body.clear();
                 push_body_facts(r, idb, b, tuple, body);
-                if body.iter().all(|&g| marks.get(g) & PROVED != 0) {
-                    proved = true;
+                if body.iter().all(|&g| proved(g)) {
+                    found = true;
                     return false;
                 }
-                let unchecked = body.iter().filter(|&&g| marks.get(g) & CHECKED == 0);
+                let unchecked =
+                    (body.iter()).filter(|&&g| affected.contains(g) && marks.get(g) & CHECKED == 0);
                 children.extend(unchecked);
                 !first_only
             })?;
-            if proved {
+            if found {
                 self.prove(fx, rules, f, budget)?;
                 return Ok(true);
             }
@@ -807,6 +913,7 @@ impl Retraction {
         self.proved.push(f);
         let Retraction {
             marks,
+            affected,
             proved,
             body,
             tuple,
@@ -829,7 +936,7 @@ impl Retraction {
                     }
                     body.clear();
                     push_body_facts(r, idb, b, tuple, body);
-                    if body.iter().all(|&g| marks.get(g) & PROVED != 0) {
+                    if (body.iter()).all(|&g| !affected.contains(g) || marks.get(g) & PROVED != 0) {
                         marks.set(hf, PROVED);
                         proved.push(hf);
                     }
@@ -1042,12 +1149,9 @@ mod tests {
         assert_matches_scratch(&rt);
     }
 
-    #[test]
-    fn deep_proofs_search_without_recursion() {
-        // Reachability from s(0) along a chain 0→1→…→N, plus a shortcut
-        // 0→N. Retracting the shortcut leaves r(N) with one proof, N
-        // facts deep; the search must not grow the thread's stack.
-        const N: u32 = 200_000;
+    /// The reachability program over `S/1` and `E/2`, seeded with
+    /// `s(0)` and `edges`, polled once.
+    fn reachability(n: u32, edges: impl Iterator<Item = (u32, u32)>) -> (DatalogRuntime, usize) {
         let sig = fmt_structures::Signature::builder()
             .relation("S", 1)
             .relation("E", 2)
@@ -1056,19 +1160,45 @@ mod tests {
         let src = "r(y) :- s(x), e(x, y).\nr(z) :- r(y), e(y, z).\n";
         let prog = Program::parse(&sig, src).unwrap();
         let r = prog.idb("r").unwrap();
-        let mut rt = DatalogRuntime::new(prog, N + 1).unwrap();
+        let mut rt = DatalogRuntime::new(prog, n).unwrap();
         rt.insert(s, &[0]);
-        for u in 0..N {
-            rt.insert(e, &[u, u + 1]);
+        for (u, v) in edges {
+            rt.insert(e, &[u, v]);
         }
-        rt.insert(e, &[0, N]);
         rt.poll();
+        (rt, r)
+    }
+
+    #[test]
+    fn deep_proofs_search_without_recursion() {
+        // Reachability from s(0) along a chain 0→1→…→N, plus a shortcut
+        // 0→N. Retracting the shortcut leaves r(N) with one proof, N
+        // facts deep; its last step is unaffected, so the search opens
+        // r(N) alone.
+        const N: u32 = 200_000;
+        let (mut rt, r) = reachability(N + 1, (0..N).map(|u| (u, u + 1)).chain([(0, N)]));
         assert_eq!(rt.query(r).len(), N as usize);
-        rt.retract(e, &[0, N]);
+        rt.retract(RelId(1), &[0, N]);
         let stats = rt.poll();
         assert_eq!((stats.overdeleted, stats.rederived), (0, 1));
         assert_eq!(rt.query(r).len(), N as usize);
         assert!(rt.query(r).contains(&[N]));
+    }
+
+    #[test]
+    fn deep_searches_through_affected_facts_use_no_recursion() {
+        // A chain 1⇄2⇄…⇄N entered by 0→1 and 0→N. Without E(0, 1) every
+        // r fact is affected, and r(1)'s one proof runs back from r(N)
+        // through all of them: the search is N facts deep and must not
+        // grow the thread's stack.
+        const N: u32 = 200_000;
+        let chain = (1..N).flat_map(|u| [(u, u + 1), (u + 1, u)]);
+        let (mut rt, r) = reachability(N + 1, chain.chain([(0, 1), (0, N)]));
+        assert_eq!(rt.query(r).len(), N as usize);
+        rt.retract(RelId(1), &[0, 1]);
+        let stats = rt.poll();
+        assert_eq!((stats.overdeleted, stats.rederived), (0, 1));
+        assert_eq!(rt.query(r).len(), N as usize);
     }
 
     #[test]
