@@ -155,18 +155,27 @@ fn sg_scan_model(edges: u64, history: &[u64]) -> u64 {
     edges + e2 + rounds.iter().map(|&d| edges + e2 + e2 * d).sum::<u64>()
 }
 
-/// Tuple-comparison counters of one evaluation, via the obs registry.
-fn count_work(run: impl Fn() -> Output, keys: &[&str]) -> u64 {
+/// The `keys` counters of one run, via the obs registry.
+fn counters<const N: usize>(run: impl FnOnce(), keys: [&str; N]) -> [u64; N] {
     fmt_obs::enable();
     fmt_obs::reset();
-    let _ = run();
+    run();
     let snap = fmt_obs::snapshot();
     fmt_obs::disable();
-    keys.iter().map(|k| snap.counter(k).unwrap_or(0)).sum()
+    keys.map(|k| snap.counter(k).unwrap_or(0))
 }
 
-const INDEXED_KEYS: &[&str] = &["queries.index.probes", "queries.index.scan_tuples"];
-const SCAN_KEYS: &[&str] = &["queries.datalog.scan_tuples"];
+/// Tuple-comparison counters of one evaluation, summed.
+fn count_work<const N: usize>(run: impl Fn() -> Output, keys: [&str; N]) -> u64 {
+    counters(|| drop(run()), keys).iter().sum()
+}
+
+const INDEXED_KEYS: [&str; 2] = ["queries.index.probes", "queries.index.scan_tuples"];
+const SCAN_KEYS: [&str; 1] = ["queries.datalog.scan_tuples"];
+/// What a fresh runtime's first poll must add exactly as much of as the
+/// batch evaluation of the same input: it reads the input in place, so
+/// it copies no relation and indexes none.
+const FIRST_POLL_KEYS: [&str; 2] = ["queries.index.build_tuples", "queries.store.rows"];
 
 /// One traced indexed evaluation; timed runs stay tracing-off.
 fn traced(prog: &Program, s: &Structure) -> Trace {
@@ -424,6 +433,10 @@ struct Incremental {
     output_tuples: usize,
     scratch: Timing,
     initial_poll_secs: f64,
+    /// [`FIRST_POLL_KEYS`] of a fresh runtime's first poll, and of the
+    /// batch evaluation of the same input.
+    first_poll_work: [u64; 2],
+    batch_work: [u64; 2],
     update: Timing,
 }
 
@@ -447,6 +460,16 @@ impl Incremental {
 fn measure_incremental(s: &Structure, prog: &Program, tc: &Row) -> Incremental {
     let e = prog.signature().relation("E").expect("graph signature");
     let tuples = tc.output_tuples as usize;
+    let batch = prog.eval_seminaive(s);
+    assert_eq!(batch.relation(0).len(), tuples, "the tc row's extent");
+    let batch_work = counters(|| drop(prog.eval_seminaive(s)), FIRST_POLL_KEYS);
+    let first_poll_work = counters(
+        || {
+            let rt = DatalogRuntime::from_structure(prog.clone(), s);
+            rt.expect("benchmark programs are negation-free").poll();
+        },
+        FIRST_POLL_KEYS,
+    );
     // The first poll of each of BATCH fresh runtimes, built untimed.
     let mut fresh: Vec<DatalogRuntime> = (0..BATCH)
         .map(|_| {
@@ -463,7 +486,11 @@ fn measure_incremental(s: &Structure, prog: &Program, tc: &Row) -> Incremental {
         })
         .fold(f64::INFINITY, f64::min);
     for rt in &fresh {
-        assert_eq!(rt.query(0).len(), tuples, "initial poll must match batch");
+        assert_eq!(
+            rt.query(0),
+            batch.relation(0),
+            "initial poll must match batch"
+        );
     }
     let mut rt = fresh.pop().expect("BATCH is positive");
     let last = [NODES - 2, NODES - 1];
@@ -476,11 +503,17 @@ fn measure_incremental(s: &Structure, prog: &Program, tc: &Row) -> Incremental {
     cycle(); // warm-up: builds goal plans and indexes
              // One cycle is two updates: update ≥ 5× faster ⟺ cycle ≤ 2·scratch/5.
     let cycles = best_secs(2.0 * tc.timing.secs / MIN_INCR_SPEEDUP, cycle);
-    assert_eq!(rt.query(0).len(), tuples, "churn must restore the extent");
+    assert_eq!(
+        rt.query(0),
+        batch.relation(0),
+        "churn must restore the extent"
+    );
     Incremental {
         output_tuples: tuples,
         scratch: tc.timing,
         initial_poll_secs,
+        first_poll_work,
+        batch_work,
         update: Timing {
             secs: cycles.secs / 2.0,
             min_secs: cycles.min_secs / 2.0,
@@ -612,6 +645,16 @@ impl Report {
                 inc.gate_speedup()
             ),
         );
+        let [(poll_built, batch_built), (poll_rows, batch_rows)] =
+            [0, 1].map(|i| (inc.first_poll_work[i], inc.batch_work[i]));
+        gate(
+            format!("incremental first poll tc_path_{NODES}"),
+            inc.first_poll_work == inc.batch_work,
+            format!(
+                "index build tuples {poll_built} vs batch {batch_built}, \
+                 store rows {poll_rows} vs batch {batch_rows} (need equal)"
+            ),
+        );
         for g in &self.magic {
             let pruning = self.pruning(g);
             gate(
@@ -716,11 +759,17 @@ fn document(r: &Report) -> String {
         "  \"incremental\":{{\"workload\":\"tc_path_{NODES}\",\
          \"gate\":\"maintained single-edge update ≥{MIN_INCR_SPEEDUP}× faster than from-scratch recomputation\",\
          \"output_tuples\":{},\"scratch_secs\":{:.6},\"scratch_min_secs\":{:.6},\"initial_poll_secs\":{:.6},\
+         \"initial_poll_build_tuples\":{},\"initial_poll_store_rows\":{},\
+         \"scratch_build_tuples\":{},\"scratch_store_rows\":{},\
          \"update_secs\":{:.6},\"runs\":{},\"update_min_secs\":{:.6},\"speedup\":{:.2}}},",
         inc.output_tuples,
         inc.scratch.secs,
         inc.scratch.min_secs,
         inc.initial_poll_secs,
+        inc.first_poll_work[0],
+        inc.first_poll_work[1],
+        inc.batch_work[0],
+        inc.batch_work[1],
         inc.update.secs,
         inc.update.runs,
         inc.update.min_secs,
@@ -860,6 +909,8 @@ mod tests {
                     min_secs: 0.018,
                 },
                 initial_poll_secs: 0.03,
+                first_poll_work: [0, 130_816],
+                batch_work: [0, 130_816],
                 update: Timing {
                     secs: 0.001,
                     runs: 10,
@@ -909,6 +960,11 @@ mod tests {
         assert_eq!(num("incremental", "scratch_min_secs"), Some(0.018));
         assert_eq!(num("incremental", "runs"), Some(10.0));
         assert_eq!(num("incremental", "speedup"), Some(30.0));
+        assert_eq!(
+            num("incremental", "initial_poll_store_rows"),
+            Some(130_816.0)
+        );
+        assert_eq!(num("incremental", "scratch_build_tuples"), Some(0.0));
         assert!((report.incremental.gate_speedup() - 20.0).abs() < 1e-9);
         assert_eq!(num("magic", "full_secs"), Some(0.018));
         assert_eq!(num("trace", "cli"), Some(0.97));

@@ -217,11 +217,11 @@ fn datalog_incremental_maintains_under_updates() {
         String::from_utf8_lossy(&out.stderr)
     );
     let text = String::from_utf8_lossy(&out.stdout);
-    // Poll 1 materializes the seed structure from scratch; the final
-    // poll retracts E(1,2): the 4 closure pairs that crossed it lose
-    // every proof and are the only facts deleted, leaving
-    // tc = {(0,1), (2,3)}.
-    assert!(text.contains("poll 1: +1 -0 edb, 1 derived"), "{text}");
+    // Poll 1 materializes the seed structure from scratch, reading its
+    // facts in place, so it inserts none; the final poll retracts
+    // E(1,2): the 4 closure pairs that crossed it lose every proof and
+    // are the only facts deleted, leaving tc = {(0,1), (2,3)}.
+    assert!(text.contains("poll 1: +0 -0 edb, 1 derived"), "{text}");
     assert!(text.contains("(rebuild)"), "{text}");
     assert!(
         text.contains("poll 3: +0 -1 edb, 0 derived, 4 overdeleted"),

@@ -991,15 +991,20 @@ pub struct Incremental;
 /// The from-scratch reference: the one-thread indexed engine over a
 /// structure holding exactly `facts`.
 fn incr_scratch(prog: &Program, domain: u32, facts: &BTreeSet<(u32, u32)>) -> Extents {
+    let s = edge_structure(prog, domain, facts);
+    let out = (Engine::Indexed(1).run(prog, &s, &Budget::unlimited()))
+        .expect("generated incremental programs are negation-free");
+    output_extents(prog, &out)
+}
+
+/// The structure over `0..domain` whose edges are `facts`.
+fn edge_structure(prog: &Program, domain: u32, facts: &BTreeSet<(u32, u32)>) -> Structure {
     let e = prog.signature().relation("E").expect("graph signature");
     let mut b = StructureBuilder::new(prog.signature().clone(), domain);
     for &(u, v) in facts {
         b.add(e, &[u, v]).expect("trace ops are in domain");
     }
-    let s = b.build().expect("trace structure is valid");
-    let out = (Engine::Indexed(1).run(prog, &s, &Budget::unlimited()))
-        .expect("generated incremental programs are negation-free");
-    output_extents(prog, &out)
+    b.build().expect("trace structure is valid")
 }
 
 fn new_runtime(prog: &Program, domain: u32) -> DatalogRuntime {
@@ -1029,23 +1034,28 @@ fn check_incremental(src: &str, trace: &UpdateTrace, fuel: u64) -> Result<(), St
     }
 
     // Half one: unbudgeted trace equivalence, at each thread count of
-    // the matrix's indexed engine. A maintained poll whose net updates
-    // are retractions only must tombstone exactly the facts the
-    // scratch extents lost: backward/forward retraction deletes only
-    // facts left without a proof. (The first poll rebuilds, so the
-    // empty extents before it are never compared.)
+    // the matrix's indexed engine, for a runtime fed every update and
+    // for one built from the facts queued before the first poll, which
+    // reads them in place until an update touches them. A maintained
+    // poll whose net updates are retractions only must tombstone
+    // exactly the facts the scratch extents lost: backward/forward
+    // retraction deletes only facts left without a proof. (The first
+    // poll rebuilds, so the empty extents before it are never
+    // compared.)
     let mut facts = BTreeSet::new();
     let mut polled: (BTreeSet<(u32, u32)>, Extents) = (BTreeSet::new(), Vec::new());
-    let mut runtimes: Vec<DatalogRuntime> = (MATRIX.iter())
+    let threads: Vec<usize> = (MATRIX.iter())
         .filter_map(|engine| match *engine {
             Engine::Indexed(threads) => Some(threads),
             _ => None,
         })
-        .map(|threads| {
-            let mut rt = new_runtime(&prog, trace.domain);
-            rt.set_threads(threads);
-            rt
-        })
+        .collect();
+    let threaded = |mut rt: DatalogRuntime, t: usize| {
+        rt.set_threads(t);
+        rt
+    };
+    let mut runtimes: Vec<(&str, DatalogRuntime)> = (threads.iter())
+        .map(|&t| ("", threaded(new_runtime(&prog, trace.domain), t)))
         .collect();
     for (step, &op) in trace.ops.iter().enumerate() {
         match op {
@@ -1057,11 +1067,19 @@ fn check_incremental(src: &str, trace: &UpdateTrace, fuel: u64) -> Result<(), St
             }
             UpdateOp::Poll => {}
         }
-        for rt in &mut runtimes {
+        for (_, rt) in &mut runtimes {
             queue(rt, e, op);
         }
         if op != UpdateOp::Poll {
             continue;
+        }
+        if runtimes.len() == threads.len() {
+            let s = edge_structure(&prog, trace.domain, &facts);
+            for &t in &threads {
+                let rt = DatalogRuntime::from_structure(prog.clone(), &s)
+                    .expect("generated incremental programs are negation-free");
+                runtimes.push((", from_structure", threaded(rt, t)));
+            }
         }
         let want = incr_scratch(&prog, trace.domain, &facts);
         let retractions_only = facts.is_subset(&polled.0);
@@ -1073,12 +1091,12 @@ fn check_incremental(src: &str, trace: &UpdateTrace, fuel: u64) -> Result<(), St
                     .count()
             })
             .sum();
-        for rt in &mut runtimes {
+        for (how, rt) in &mut runtimes {
             let stats = rt.poll();
             let got = extents(prog.num_idbs(), |i| rt.query(i));
             if let Some(i) = (0..want.len()).find(|&i| got[i] != want[i]) {
                 return Err(format!(
-                    "runtime({} threads) diverges from scratch on {} at poll (op {step}): \
+                    "runtime({} threads{how}) diverges from scratch on {} at poll (op {step}): \
                      {:?} vs {:?}",
                     rt.threads(),
                     prog.idb_info(i).0,
@@ -1088,7 +1106,7 @@ fn check_incremental(src: &str, trace: &UpdateTrace, fuel: u64) -> Result<(), St
             }
             if retractions_only && !stats.rebuilt && stats.overdeleted != lost as u64 {
                 return Err(format!(
-                    "runtime({} threads) tombstoned {} facts at poll (op {step}), \
+                    "runtime({} threads{how}) tombstoned {} facts at poll (op {step}), \
                      but scratch lost {lost}",
                     rt.threads(),
                     stats.overdeleted

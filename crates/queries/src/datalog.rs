@@ -50,7 +50,7 @@
 //! the old `HashSet<Vec<Elem>>` representation as a differential
 //! oracle.
 
-use crate::join::{Fixpoint, SortedEdb};
+use crate::join::Fixpoint;
 use fmt_structures::budget::{Budget, BudgetResult, Exhausted};
 use fmt_structures::index::ColumnIndex;
 use fmt_structures::par::resolve_threads;
@@ -741,7 +741,7 @@ impl Program {
         let strata = self.eval_strata()?;
         let eval_span =
             fmt_obs::trace_span!("datalog.eval", engine = "naive", rules = self.rules.len());
-        let mut fx = Fixpoint::new(self, SortedEdb::new(s), s.size(), 1, AT);
+        let mut fx = Fixpoint::new(self, s, 1, AT);
         let mut derivations = 0u64;
         let mut delta_history = Vec::new();
         for rules_in in &strata {
@@ -803,7 +803,7 @@ impl Program {
             rules = self.rules.len(),
             threads = threads
         );
-        let mut fx = Fixpoint::new(self, SortedEdb::new(s), s.size(), threads, AT);
+        let mut fx = Fixpoint::new(self, s, threads, AT);
         let mut derivations = 0u64;
         let mut delta_history: Vec<u64> = Vec::new();
         // Each stratum's initialization pass joins its rules over the
@@ -1116,7 +1116,8 @@ impl Program {
 // Indexed join engine: IDB store, plans, and the execution kernel
 // ---------------------------------------------------------------------
 
-/// The mutable extent of one IDB predicate during a fixpoint run: a
+/// The mutable extent of one IDB predicate (or of an EDB relation the
+/// incremental runtime owns) during a fixpoint run: a
 /// columnar [`TupleStore`] (arenas + row-id dedup in one) plus
 /// incrementally-maintained [`ColumnIndex`]es keyed by bound-position
 /// subsets. The handful of indexes per predicate live in a `Vec` —
@@ -1180,8 +1181,8 @@ pub(crate) fn head_idb(rule: &Rule) -> usize {
 
 /// The [`Output`] of an indexed evaluation: the driver's IDB stores
 /// and the per-round counts, recorded on its `datalog.eval` span.
-fn output<E>(
-    fx: Fixpoint<E>,
+fn output(
+    fx: Fixpoint,
     mut eval_span: fmt_obs::trace::SpanGuard,
     derivations: u64,
     delta_history: Vec<u64>,
@@ -1646,11 +1647,11 @@ mod tests {
         .unwrap();
         let s = builders::directed_path(4);
         let plan = join::plan(&prog.rules()[0], None, &[], &initial_extent(&s));
-        // The NegCheck on `!e(y, y)` lands right after the first step
-        // binds y — before the second positive edge atom is joined.
+        // The membership check of `!e(y, y)` lands right after the first
+        // step binds y — before the second positive edge atom is joined.
         let neg_step = plan
             .iter()
-            .position(|st| st.access == Access::NegCheck)
+            .position(|st| st.access == Access::Member)
             .unwrap();
         assert_eq!(neg_step, 1, "plan: {plan:?}");
     }

@@ -27,9 +27,12 @@
 //! invalidate ids, runs only between polls once tombstones dominate).
 //!
 //! The driver owns the EDB and IDB stores and the one plan cache that
-//! propagation and retraction share. A from-
-//! scratch rebuild is the batch engine's stratum pass on that driver,
-//! round for round. A budget-exhausted poll leaves the stores
+//! propagation and retraction share. An input relation is read in place
+//! until a poll first updates it; from then on the runtime owns a
+//! columnar copy of it, made once. So a from-scratch rebuild is the
+//! batch engine's stratum pass on that driver, round for round, and a
+//! fresh runtime's first poll is the batch evaluation of its input. A
+//! budget-exhausted poll leaves the stores
 //! half-maintained; the runtime remembers this and the next poll falls
 //! back to a rebuild, so exhaustion is recoverable and — for a fixed
 //! operation sequence at one thread — deterministic. Work is metered
@@ -37,12 +40,12 @@
 //! the driver's `datalog.init` / `datalog.round` spans.
 
 use crate::datalog::{head_idb, IdbStore, Pred, Program, Rule};
-use crate::join::{Fixpoint, PlanKey, PlanRef};
+use crate::join::{Binding, Fixpoint, PlanKey, PlanRef};
 use fmt_structures::budget::{Budget, BudgetResult};
 use fmt_structures::index::ColumnIndex;
 use fmt_structures::par::resolve_threads;
 use fmt_structures::store::TupleStore;
-use fmt_structures::{Elem, RelId, Structure};
+use fmt_structures::{Elem, RelId, Structure, StructureBuilder};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
@@ -89,8 +92,9 @@ pub struct PollStats {
     pub rebuilt: bool,
 }
 
-/// One queued update: `insert` flag, relation, tuple.
-type PendingOp = (bool, RelId, Vec<Elem>);
+/// One update: relation, tuple, and `true` to insert or `false` to
+/// retract.
+type Update = (RelId, Vec<Elem>, bool);
 
 /// The incremental runtime does not maintain programs with negation:
 /// retraction under stratified negation needs maintenance stratum by
@@ -142,12 +146,13 @@ impl std::error::Error for UnsupportedNegation {}
 #[derive(Debug)]
 pub struct DatalogRuntime {
     program: Program,
-    /// The fixpoint driver: one columnar extent per signature relation
-    /// (indexed by `RelId.0`) and per IDB predicate, and the plans.
-    fx: Fixpoint<Vec<IdbStore>>,
+    /// The fixpoint driver: one extent per signature relation, shared
+    /// with the input until its first update, one columnar store per
+    /// IDB predicate, and the plans.
+    fx: Fixpoint,
     /// Rule indices grouped by head IDB (the backward search's goals).
     rules_by_head: Vec<Vec<usize>>,
-    pending: Vec<PendingOp>,
+    pending: Vec<Update>,
     /// `true` while the materialization may not match the fact base: on
     /// creation, and after a budget-exhausted poll left the stores
     /// half-maintained. The next poll rebuilds from scratch.
@@ -157,28 +162,39 @@ pub struct DatalogRuntime {
 impl DatalogRuntime {
     /// An empty runtime for `program` over the domain `{0, …, n−1}`
     /// (the domain matters because unbound head variables range over
-    /// it, exactly as in the batch engines). Programs with negated
-    /// atoms are rejected with [`UnsupportedNegation`].
+    /// it, exactly as in the batch engines): a runtime over the empty
+    /// structure. Programs with negated atoms are rejected with
+    /// [`UnsupportedNegation`].
     pub fn new(program: Program, domain_size: u32) -> Result<DatalogRuntime, UnsupportedNegation> {
-        for (ri, rule) in program.rules().iter().enumerate() {
-            for (ai, atom) in rule.body.iter().enumerate() {
-                if atom.negated {
-                    let pred = match atom.pred {
-                        Pred::Idb(j) => program.idb_info(j).0.to_owned(),
-                        Pred::Edb(r) => program.signature().relation_name(r).to_owned(),
-                    };
-                    return Err(UnsupportedNegation {
-                        rule: ri,
-                        atom: ai,
-                        pred,
-                    });
-                }
-            }
+        let empty = StructureBuilder::new(program.signature().clone(), domain_size)
+            .build()
+            .expect("an empty structure is valid");
+        DatalogRuntime::from_structure(program, &empty)
+    }
+
+    /// A runtime over the facts of `s`, which it reads in place: a
+    /// relation is copied only when a poll first updates it. Call
+    /// [`DatalogRuntime::poll`] to materialize. Programs with negated
+    /// atoms are rejected with [`UnsupportedNegation`].
+    pub fn from_structure(
+        program: Program,
+        s: &Structure,
+    ) -> Result<DatalogRuntime, UnsupportedNegation> {
+        assert_eq!(
+            program.signature(),
+            s.signature(),
+            "program and structure must share a signature"
+        );
+        let mut atoms = (program.rules().iter().enumerate())
+            .flat_map(|(ri, rule)| rule.body.iter().enumerate().map(move |(ai, a)| (ri, ai, a)));
+        if let Some((rule, atom, a)) = atoms.find(|(_, _, a)| a.negated) {
+            let pred = match a.pred {
+                Pred::Idb(j) => program.idb_info(j).0.to_owned(),
+                Pred::Edb(r) => program.signature().relation_name(r).to_owned(),
+            };
+            return Err(UnsupportedNegation { rule, atom, pred });
         }
-        let edb = (program.signature().relations())
-            .map(|(_, _, arity)| IdbStore::new(arity))
-            .collect();
-        let fx = Fixpoint::new(&program, edb, domain_size, 1, AT);
+        let fx = Fixpoint::new(&program, s, 1, AT);
         let mut rules_by_head = vec![Vec::new(); program.num_idbs()];
         for (ri, rule) in program.rules().iter().enumerate() {
             rules_by_head[head_idb(rule)].push(ri);
@@ -190,28 +206,6 @@ impl DatalogRuntime {
             pending: Vec::new(),
             dirty: true,
         })
-    }
-
-    /// A runtime seeded with every fact of `s` (queued as pending
-    /// insertions — call [`DatalogRuntime::poll`] to materialize).
-    /// Programs with negated atoms are rejected with
-    /// [`UnsupportedNegation`].
-    pub fn from_structure(
-        program: Program,
-        s: &Structure,
-    ) -> Result<DatalogRuntime, UnsupportedNegation> {
-        assert_eq!(
-            program.signature(),
-            s.signature(),
-            "program and structure must share a signature"
-        );
-        let mut rt = DatalogRuntime::new(program, s.size())?;
-        for (r, _, _) in s.signature().relations() {
-            for t in s.rel(r).iter() {
-                rt.insert(r, t);
-            }
-        }
-        Ok(rt)
     }
 
     /// The program being maintained.
@@ -256,7 +250,7 @@ impl DatalogRuntime {
     /// Panics if the arity mismatches or a value is outside the domain.
     pub fn insert(&mut self, rel: RelId, t: &[Elem]) {
         self.check_fact(rel, t);
-        self.pending.push((true, rel, t.to_vec()));
+        self.pending.push((rel, t.to_vec(), true));
     }
 
     /// Queues retraction of `t` from EDB relation `rel`.
@@ -265,7 +259,7 @@ impl DatalogRuntime {
     /// Panics if the arity mismatches or a value is outside the domain.
     pub fn retract(&mut self, rel: RelId, t: &[Elem]) {
         self.check_fact(rel, t);
-        self.pending.push((false, rel, t.to_vec()));
+        self.pending.push((rel, t.to_vec(), false));
     }
 
     fn check_fact(&self, rel: RelId, t: &[Elem]) {
@@ -290,10 +284,10 @@ impl DatalogRuntime {
         &self.fx.idb[idb].store
     }
 
-    /// The current extent of EDB relation `rel` (as of the last
-    /// successful poll).
-    pub fn edb(&self, rel: RelId) -> &TupleStore {
-        &self.fx.edb[rel.0].store
+    /// The live tuples of EDB relation `rel` (as of the last successful
+    /// poll).
+    pub fn edb(&self, rel: RelId) -> impl Iterator<Item = Vec<Elem>> + '_ {
+        self.fx.edb.tuples(rel)
     }
 
     /// Applies all pending updates and restores the fixpoint,
@@ -311,27 +305,32 @@ impl DatalogRuntime {
         let mut span = fmt_obs::trace_span!("datalog.incr.poll", pending = self.pending.len());
         // Net effect of the queue: the last op per (relation, tuple)
         // wins, in first-occurrence order for determinism.
-        let mut order: Vec<(RelId, Vec<Elem>)> = Vec::new();
-        let mut last: HashMap<(usize, Vec<Elem>), bool> = HashMap::new();
-        for (add, rel, t) in &self.pending {
-            let key = (rel.0, t.clone());
-            if !last.contains_key(&key) {
-                order.push((*rel, t.clone()));
-            }
-            last.insert(key, *add);
+        let mut net: Vec<Update> = Vec::new();
+        let mut at: HashMap<(RelId, &[Elem]), usize> = HashMap::new();
+        for (rel, t, add) in &self.pending {
+            let i = *at.entry((*rel, t)).or_insert_with(|| {
+                net.push((*rel, t.clone(), *add));
+                net.len() - 1
+            });
+            net[i].2 = *add;
+        }
+        // Every relation the poll updates switches to its owned copy
+        // now, before a plan is resolved: the switch drops the plans.
+        for (rel, _, _) in &net {
+            self.fx.own_edb(*rel);
         }
 
         let mut stats = PollStats::default();
         let was_dirty = self.dirty;
         self.dirty = true; // until this poll completes
         if was_dirty {
-            self.rebuild(&order, &last, budget, &mut stats)?;
+            self.rebuild(&net, budget, &mut stats)?;
         } else {
-            self.maintain(&order, &last, budget, &mut stats)?;
+            self.maintain(&net, budget, &mut stats)?;
         }
         self.pending.clear();
         self.dirty = false;
-        for r in self.fx.edb.iter_mut().chain(self.fx.idb.iter_mut()) {
+        for r in self.fx.edb.stores_mut().chain(self.fx.idb.iter_mut()) {
             compact_if_mostly_dead(r);
         }
         OBS_POLLS.incr();
@@ -350,24 +349,23 @@ impl DatalogRuntime {
     /// pass over every rule.
     fn rebuild(
         &mut self,
-        order: &[(RelId, Vec<Elem>)],
-        last: &HashMap<(usize, Vec<Elem>), bool>,
+        net: &[Update],
         budget: &Budget,
         stats: &mut PollStats,
     ) -> BudgetResult<()> {
         OBS_REBUILDS.incr();
         stats.rebuilt = true;
-        let edb = &mut self.fx.edb;
-        for (rel, t) in order {
-            if last[&(rel.0, t.clone())] {
-                if edb[rel.0].store.push_if_new(t).is_some() {
+        for (rel, t, add) in net {
+            let st = &mut self.fx.edb.owned(*rel).store;
+            if *add {
+                if st.push_if_new(t).is_some() {
                     stats.inserted += 1;
                 }
-            } else if edb[rel.0].store.remove(t).is_some() {
+            } else if st.remove(t).is_some() {
                 stats.retracted += 1;
             }
         }
-        for r in edb.iter_mut() {
+        for r in self.fx.edb.stores_mut() {
             r.extend_indexes();
         }
         self.fx.restart();
@@ -391,20 +389,17 @@ impl DatalogRuntime {
     /// proof, so nothing needs rescuing afterwards.
     fn maintain(
         &mut self,
-        order: &[(RelId, Vec<Elem>)],
-        last: &HashMap<(usize, Vec<Elem>), bool>,
+        net: &[Update],
         budget: &Budget,
         stats: &mut PollStats,
     ) -> BudgetResult<()> {
-        let mut to_retract: Vec<(RelId, Vec<Elem>)> = Vec::new();
-        let mut to_insert: Vec<(RelId, Vec<Elem>)> = Vec::new();
-        for (rel, t) in order {
-            let add = last[&(rel.0, t.clone())];
-            let present = self.fx.edb[rel.0].store.contains(t);
-            if add && !present {
-                to_insert.push((*rel, t.clone()));
-            } else if !add && present {
-                to_retract.push((*rel, t.clone()));
+        let mut to_retract: Vec<(RelId, &[Elem])> = Vec::new();
+        let mut to_insert: Vec<(RelId, &[Elem])> = Vec::new();
+        for (rel, t, add) in net {
+            match (*add, self.fx.edb.owned(*rel).store.contains(t)) {
+                (true, false) => to_insert.push((*rel, t)),
+                (false, true) => to_retract.push((*rel, t)),
+                _ => {}
             }
         }
 
@@ -420,17 +415,16 @@ impl DatalogRuntime {
             OBS_REDERIVED.add(stats.rederived);
         }
 
-        let mut edb_delta: Vec<Vec<u32>> = vec![Vec::new(); self.fx.edb.len()];
+        let mut edb_delta: Vec<Vec<u32>> = vec![Vec::new(); self.fx.edb.copies.len()];
         if !to_insert.is_empty() {
             let span = fmt_obs::trace_span!("datalog.incr.insert", facts = to_insert.len());
-            let edb = &mut self.fx.edb;
-            for (rel, t) in &to_insert {
-                if let Some(row) = edb[rel.0].store.push_if_new(t) {
+            for &(rel, t) in &to_insert {
+                if let Some(row) = self.fx.edb.owned(rel).store.push_if_new(t) {
                     edb_delta[rel.0].push(row);
                     stats.inserted += 1;
                 }
             }
-            for r in edb.iter_mut() {
+            for r in self.fx.edb.stores_mut() {
                 r.extend_indexes();
             }
             drop(span);
@@ -590,12 +584,39 @@ impl Plans {
         Plans { first, slots }
     }
 
-    fn get(&mut self, fx: &mut Fixpoint<Vec<IdbStore>>, key: PlanKey) -> PlanRef {
+    fn get(&mut self, fx: &mut Fixpoint, key: PlanKey) -> PlanRef {
         let slot = match key {
             PlanKey::Driver { rule, pos } => self.first[rule] + pos,
             PlanKey::Goal { rule } => self.first[rule + 1] - 1,
         };
         *self.slots[slot].get_or_insert_with(|| fx.resolve(key))
+    }
+
+    /// The forward step of a retraction: runs every rule instance with
+    /// `row` of `pred` in its body, over the facts not deleted yet (the
+    /// fact itself still among them, so an instance using it twice is
+    /// found), through the driver plan of each position `pred` occurs
+    /// at. `sink` sees the IDB stores, the rule, the head fact if it is
+    /// live, and the instance's binding.
+    fn instances(
+        &mut self,
+        fx: &mut Fixpoint,
+        rules: &[Rule],
+        pred: Pred,
+        row: u32,
+        budget: &Budget,
+        mut sink: impl FnMut(&[IdbStore], &Rule, Option<Fact>, &Binding),
+    ) -> BudgetResult<()> {
+        for (rule, pos) in uses(rules, pred) {
+            let (r, plan) = (&rules[rule], self.get(fx, PlanKey::Driver { rule, pos }));
+            let h = head_idb(r);
+            fx.exec_with(plan, &[row], &[], budget, &mut |idb, head, b| {
+                let hf = idb[h].store.find(head).map(|hr| fact(h, hr));
+                sink(idb, r, hf, b);
+                true
+            })?;
+        }
+        Ok(())
     }
 }
 
@@ -648,9 +669,9 @@ impl Retraction {
     /// queues the heads of its own instances. Returns the number of
     /// affected facts and of facts whose backward search started.
     fn run(
-        fx: &mut Fixpoint<Vec<IdbStore>>,
+        fx: &mut Fixpoint,
         rules_by_head: &[Vec<usize>],
-        to_retract: &[(RelId, Vec<Elem>)],
+        to_retract: &[(RelId, &[Elem])],
         budget: &Budget,
         stats: &mut PollStats,
     ) -> BudgetResult<(u64, u64)> {
@@ -660,10 +681,10 @@ impl Retraction {
             plans: Plans::new(&rules),
             ..Retraction::default()
         };
-        for (rel, t) in to_retract {
-            let row = (fx.edb[rel.0].store.find(t)).expect("to_retract holds present tuples");
-            r.delete(fx, &rules, Pred::Edb(*rel), row, budget)?;
-            fx.edb[rel.0].store.remove_row(row);
+        for &(rel, t) in to_retract {
+            let row = (fx.edb.owned(rel).store.find(t)).expect("to_retract holds present tuples");
+            r.delete(fx, &rules, Pred::Edb(rel), row, budget)?;
+            fx.edb.owned(rel).store.remove_row(row);
             stats.retracted += 1;
         }
         let mut next = 0;
@@ -690,12 +711,7 @@ impl Retraction {
     /// and the facts deleted so far queued the heads of their
     /// instances already, so the closure over the live facts misses
     /// none. The worklist is [`Retraction::children`], empty here.
-    fn reach(
-        &mut self,
-        fx: &mut Fixpoint<Vec<IdbStore>>,
-        rules: &[Rule],
-        budget: &Budget,
-    ) -> BudgetResult<()> {
+    fn reach(&mut self, fx: &mut Fixpoint, rules: &[Rule], budget: &Budget) -> BudgetResult<()> {
         let Retraction {
             affected,
             queue,
@@ -719,27 +735,21 @@ impl Retraction {
             budget.tick(AT)?;
             *reached += 1;
             let (j, row) = split(f);
-            for (rule, pos) in uses(rules, Pred::Idb(j)) {
-                let h = head_idb(&rules[rule]);
-                let plan = plans.get(fx, PlanKey::Driver { rule, pos });
-                fx.exec_with(plan, &[row], &[], budget, &mut |idb, head, _| {
-                    let hf = fact(h, idb[h].store.find(head).expect("heads are materialized"));
-                    if affected.insert(hf) {
-                        work.push(hf);
-                    }
-                    true
-                })?;
-            }
+            plans.instances(fx, rules, Pred::Idb(j), row, budget, |_, _, hf, _| {
+                let hf = hf.expect("heads are materialized");
+                if affected.insert(hf) {
+                    work.push(hf);
+                }
+            })?;
         }
         Ok(())
     }
 
     /// Queues the head of every rule instance with `row` of `pred` in
-    /// its body, over the facts not deleted yet — the fact itself still
-    /// among them, so an instance using it twice is found.
+    /// its body ([`Plans::instances`]).
     fn delete(
         &mut self,
-        fx: &mut Fixpoint<Vec<IdbStore>>,
+        fx: &mut Fixpoint,
         rules: &[Rule],
         pred: Pred,
         row: u32,
@@ -751,20 +761,14 @@ impl Retraction {
             plans,
             ..
         } = self;
-        for (rule, pos) in uses(rules, pred) {
-            let h = head_idb(&rules[rule]);
-            let plan = plans.get(fx, PlanKey::Driver { rule, pos });
-            fx.exec_with(plan, &[row], &[], budget, &mut |idb, head, _| {
-                // A head deleted earlier has no live row.
-                if let Some(hr) = idb[h].store.find(head) {
-                    if marks.set(fact(h, hr), QUEUED) & QUEUED == 0 {
-                        queue.push(fact(h, hr));
-                    }
+        plans.instances(fx, rules, pred, row, budget, |_, _, hf, _| {
+            // A head deleted earlier has no live row.
+            if let Some(hf) = hf {
+                if marks.set(hf, QUEUED) & QUEUED == 0 {
+                    queue.push(hf);
                 }
-                true
-            })?;
-        }
-        Ok(())
+            }
+        })
     }
 
     /// Whether `f` still has a proof: the backward search from `f`,
@@ -774,7 +778,7 @@ impl Retraction {
     /// `f`'s search ends, every fact it opened is proved or finished.
     fn provable(
         &mut self,
-        fx: &mut Fixpoint<Vec<IdbStore>>,
+        fx: &mut Fixpoint,
         rules: &[Rule],
         rules_by_head: &[Vec<usize>],
         f: Fact,
@@ -839,7 +843,7 @@ impl Retraction {
     /// are taken.
     fn take_instances(
         &mut self,
-        fx: &mut Fixpoint<Vec<IdbStore>>,
+        fx: &mut Fixpoint,
         rules: &[Rule],
         rules_by_head: &[Vec<usize>],
         budget: &Budget,
@@ -904,7 +908,7 @@ impl Retraction {
     /// proof always bottoms out in surviving EDB facts.
     fn prove(
         &mut self,
-        fx: &mut Fixpoint<Vec<IdbStore>>,
+        fx: &mut Fixpoint,
         rules: &[Rule],
         f: Fact,
         budget: &Budget,
@@ -922,27 +926,18 @@ impl Retraction {
         } = self;
         while let Some(x) = proved.pop() {
             let (j, row) = split(x);
-            for (rule, pos) in uses(rules, Pred::Idb(j)) {
-                let r = &rules[rule];
-                let h = head_idb(r);
-                let plan = plans.get(fx, PlanKey::Driver { rule, pos });
-                fx.exec_with(plan, &[row], &[], budget, &mut |idb, head, b| {
-                    let Some(hr) = idb[h].store.find(head) else {
-                        return true;
-                    };
-                    let hf = fact(h, hr);
-                    if marks.get(hf) & (CHECKED | PROVED) != CHECKED {
-                        return true;
-                    }
-                    body.clear();
-                    push_body_facts(r, idb, b, tuple, body);
-                    if (body.iter()).all(|&g| !affected.contains(g) || marks.get(g) & PROVED != 0) {
-                        marks.set(hf, PROVED);
-                        proved.push(hf);
-                    }
-                    true
-                })?;
-            }
+            plans.instances(fx, rules, Pred::Idb(j), row, budget, |idb, r, hf, b| {
+                let Some(hf) = hf.filter(|&hf| marks.get(hf) & (CHECKED | PROVED) == CHECKED)
+                else {
+                    return;
+                };
+                body.clear();
+                push_body_facts(r, idb, b, tuple, body);
+                if (body.iter()).all(|&g| !affected.contains(g) || marks.get(g) & PROVED != 0) {
+                    marks.set(hf, PROVED);
+                    proved.push(hf);
+                }
+            })?;
         }
         Ok(())
     }
@@ -1015,7 +1010,7 @@ mod tests {
         let sig = rt.program().signature().clone();
         let mut b = fmt_structures::StructureBuilder::new(sig.clone(), rt.domain_size());
         for (r, _, _) in sig.relations() {
-            for t in rt.edb(r).iter() {
+            for t in rt.edb(r) {
                 b.add(r, &t).unwrap();
             }
         }
@@ -1199,6 +1194,45 @@ mod tests {
         let stats = rt.poll();
         assert_eq!((stats.overdeleted, stats.rederived), (0, 1));
         assert_eq!(rt.query(r).len(), N as usize);
+    }
+
+    #[test]
+    fn updates_to_one_relation_leave_the_others_in_place() {
+        // Reachability from a one-tuple `S` along a 2,000-edge chain `E`;
+        // each poll moves the source and touches `S` alone. `E` stays
+        // the input's relation: no copy, and no index over it.
+        const N: u32 = 2_000;
+        let sig = fmt_structures::Signature::builder()
+            .relation("S", 1)
+            .relation("E", 2)
+            .finish_arc();
+        let (src, e) = (sig.relation("S").unwrap(), sig.relation("E").unwrap());
+        let mut b = fmt_structures::StructureBuilder::new(sig.clone(), N + 1);
+        b.add(src, &[0]).unwrap();
+        for u in 0..N {
+            b.add(e, &[u, u + 1]).unwrap();
+        }
+        let input = b.build().unwrap();
+        let prog = Program::parse(&sig, "r(y) :- s(x), e(x, y).\nr(z) :- r(y), e(y, z).\n");
+        let mut rt = DatalogRuntime::from_structure(prog.unwrap(), &input).unwrap();
+        let r = rt.program().idb("r").unwrap();
+        assert!(rt.poll().rebuilt);
+        assert_eq!(rt.query(r).len(), N as usize);
+        for (from, to) in [(0, 500), (500, 1_500), (1_500, 200)] {
+            rt.retract(src, &[from]);
+            rt.insert(src, &[to]);
+            assert!(!rt.poll().rebuilt);
+            assert_eq!(rt.query(r).len(), (N - to) as usize);
+            assert_matches_scratch(&rt);
+        }
+        let edb = &rt.fx.edb;
+        assert!(
+            std::ptr::eq(edb.input.rel(e), input.rel(e)),
+            "E is read in place"
+        );
+        assert!(edb.copies[e.0].is_none(), "E was copied");
+        assert!(edb.copies[src.0].is_some(), "S was not copied on update");
+        assert!(edb.slots.is_empty(), "an index was built over E");
     }
 
     #[test]

@@ -3,23 +3,23 @@
 //! `docs/join-engine.md`):
 //!
 //! * batch evaluation ([`crate::datalog`]) runs each stratum, and each
-//!   naive round, through a [`Fixpoint`] over the input structure's
-//!   sorted relations and adjacency lists ([`SortedEdb`]);
+//!   naive round, through a [`Fixpoint`] over the input structure;
 //! * the incremental runtime ([`crate::incremental`]) runs its rebuild
 //!   (the same stratum pass) and its propagation through a [`Fixpoint`]
-//!   over its columnar, tombstoned EDB stores, and its backward/forward
-//!   retraction through [`Fixpoint::exec_with`] on the same plan cache;
+//!   over its input, and its backward/forward retraction through
+//!   [`Fixpoint::exec_with`] on the same plan cache;
 //! * the magic-sets rewrite ([`crate::magic`]) takes its static SIP
 //!   order from [`plan`] with no extents.
 //!
-//! The only representation difference between the callers is the EDB
-//! ([`EdbSource`]); IDB extents are columnar [`IdbStore`]s everywhere.
+//! Every caller reads the EDB through one [`Edb`]: a relation is read in
+//! place from the input structure until its first update, and from an
+//! owned columnar copy after. IDB extents are columnar [`IdbStore`]s.
 
 use crate::datalog::{rule_num_vars, Atom, IdbStore, Pred, Program, Rule};
 use fmt_structures::budget::{Budget, BudgetResult};
 use fmt_structures::index::{self, TupleIndex};
 use fmt_structures::par::fan_out;
-use fmt_structures::store;
+use fmt_structures::store::{self, TupleStore};
 use fmt_structures::{Elem, RelId, Structure};
 use std::borrow::Cow;
 use std::cell::Cell;
@@ -49,26 +49,27 @@ pub(crate) enum Access {
     Scan,
     /// Hash-index probe on the given bound argument positions.
     Probe(Vec<usize>),
-    /// A [`Access::Probe`] of a binary EDB relation on the one bound
-    /// column `col`: the input structure's adjacency list of the bound
-    /// value (out-neighbours for column 0, in-neighbours for column 1),
-    /// an offset lookup with no search and no index build. Never
-    /// produced by [`plan`]; [`SortedEdb`] rewrites probes to this when
-    /// a plan is made.
+    /// A [`Access::Probe`] of a shared binary EDB relation on the one
+    /// bound column `col`: the input structure's adjacency list of the
+    /// bound value (out-neighbours for column 0, in-neighbours for
+    /// column 1), an offset lookup with no search and no index build.
+    /// Never produced by [`plan`]; [`Edb::prepare`] rewrites probes of
+    /// a shared relation to this when a plan is made.
     Adjacent(usize),
     /// Any other [`Access::Probe`] on the bound prefix `0..k` of a
-    /// sorted EDB relation: binary prefix probe, no index build.
-    /// Rewritten by [`SortedEdb`] like [`Access::Adjacent`].
+    /// shared EDB relation: binary prefix probe over its sorted rows,
+    /// no index build. Rewritten like [`Access::Adjacent`].
     ProbePrefix(usize),
-    /// Any other [`Access::Probe`] of a sorted EDB relation: a probe of
-    /// the hash index in the given slot of the evaluation's EDB index
-    /// table ([`Edb::Sorted`]). Rewritten by [`SortedEdb`] like
-    /// [`Access::Adjacent`].
+    /// Any other [`Access::Probe`] of a shared EDB relation: a probe of
+    /// the hash index in the given slot of [`Edb`]'s index table.
+    /// Rewritten like [`Access::Adjacent`].
     ProbeIndex(usize),
-    /// Anti-join check for a negated atom: every argument is bound, so
-    /// the fully-instantiated tuple is tested for *absence* from the
-    /// completed lower-stratum extent — no index build needed.
-    NegCheck,
+    /// Membership check of a fully bound atom: the instantiated tuple
+    /// is looked up in the extent, with no index build. A positive atom
+    /// passes when the tuple is present (a semijoin), a negated one when
+    /// it is absent from the completed lower-stratum extent (an
+    /// antijoin).
+    Member,
 }
 
 /// One step of a rule plan: which body atom to join next, and how.
@@ -78,7 +79,7 @@ pub(crate) struct Step {
     pub(crate) access: Access,
     /// The variables this step binds: those of its atom that neither
     /// the plan's pre-binding nor an earlier step binds (always empty
-    /// for [`Access::NegCheck`]). Backtracking unbinds exactly these,
+    /// for [`Access::Member`]). Backtracking unbinds exactly these,
     /// whatever the rule's variable count.
     pub(crate) fresh: Vec<u32>,
 }
@@ -88,10 +89,11 @@ pub(crate) struct Step {
 /// positions, breaking ties toward the smallest `extent_len`, then
 /// written order. Variables marked in `pre_bound` count as bound from
 /// the start (the head of a goal-directed join). Each chosen atom
-/// records how it will be accessed given what is bound. Negated atoms
-/// are placed, in written order, as anti-join checks at the earliest
-/// step where every one of their variables is bound — the soonest the
-/// membership test is decidable is where it prunes most.
+/// records how it will be accessed given what is bound; one whose every
+/// column is bound is a membership check. Negated atoms are placed, in
+/// written order, as membership checks at the earliest step where every
+/// one of their variables is bound — the soonest the check is decidable
+/// is where it prunes most.
 pub(crate) fn plan(
     rule: &Rule,
     driver: Option<usize>,
@@ -124,7 +126,7 @@ pub(crate) fn plan(
             if ready {
                 steps.push(Step {
                     atom: i,
-                    access: Access::NegCheck,
+                    access: Access::Member,
                     fresh: Vec::new(),
                 });
             }
@@ -160,6 +162,8 @@ pub(crate) fn plan(
             .collect();
         let access = if key.is_empty() {
             Access::Scan
+        } else if key.len() == atom.args.len() {
+            Access::Member
         } else {
             Access::Probe(key)
         };
@@ -171,45 +175,106 @@ pub(crate) fn plan(
     // planning (`eval_strata`), but keep the plan total regardless.
     steps.extend(negs.into_iter().map(|i| Step {
         atom: i,
-        access: Access::NegCheck,
+        access: Access::Member,
         fresh: Vec::new(),
     }));
     steps
 }
 
-/// Where the kernel reads EDB atoms from — the one representation
-/// difference between its callers, consulted only by the EDB arms of
-/// [`exec`]. Both arms stay, each for what only it does:
-///
-/// * batch evaluation reads the immutable input structure: a probe of a
-///   binary relation on one bound column is an offset lookup in the
-///   structure's adjacency lists, any other probe on a bound prefix is
-///   two binary searches over the sorted flat rows, and neither builds
-///   an index; every other probe's index is cached on the relation for
-///   every later evaluation of that input;
-/// * the runtime needs mutable, tombstoned stores whose row ids are its
-///   deltas, which sorted rows cannot give.
-///
-/// Loading the batch input as columnar stores instead was measured on
-/// `point_query`'s input (200 × 256-node paths, 51,000 edges): the copy
-/// added 1,948 KiB of resident memory and its first-column index
-/// another 3,004 KiB, about +50% of that workload's 9.6 MiB peak.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum Edb<'a> {
-    /// Batch evaluation: the input structure (its sorted relations and
-    /// adjacency lists), plus the hash indexes of the plans'
-    /// [`Access::ProbeIndex`] slots.
-    Sorted(&'a Structure, &'a [Arc<TupleIndex>]),
-    /// The incremental runtime: one columnar, tombstoned extent per
-    /// relation (indexed by `RelId.0`), probed through its
-    /// `ColumnIndex`es exactly like an IDB.
-    Columnar(&'a [IdbStore]),
+/// The EDB a [`Fixpoint`] evaluates over: one extent per relation of
+/// the input structure. A relation is *shared* until its first update:
+/// the kernel reads the input in place ([`Edb::prepare`]). Then
+/// [`Fixpoint::own_edb`] switches it to *owned*: a columnar, tombstoned
+/// copy whose row ids are the runtime's deltas, made once and probed
+/// through its `ColumnIndex`es like an IDB.
+#[derive(Debug)]
+pub(crate) struct Edb {
+    /// The input structure: a clone sharing its relations and adjacency
+    /// lists.
+    pub(crate) input: Structure,
+    /// Per relation (by `RelId.0`), its owned copy once it has one.
+    pub(crate) copies: Vec<Option<IdbStore>>,
+    /// The hash indexes of the plans' [`Access::ProbeIndex`] slots.
+    pub(crate) slots: Vec<Arc<TupleIndex>>,
 }
 
-/// The extent one body atom reads, resolved through [`Edb`].
+impl Edb {
+    fn new(input: &Structure) -> Edb {
+        Edb {
+            input: input.clone(),
+            copies: input.signature().relations().map(|_| None).collect(),
+            slots: Vec::new(),
+        }
+    }
+
+    /// The owned copy of `r`, which an updated relation has.
+    pub(crate) fn owned(&mut self, r: RelId) -> &mut IdbStore {
+        self.copies[r.0].as_mut().expect("r is owned")
+    }
+
+    /// Every owned copy.
+    pub(crate) fn stores_mut(&mut self) -> impl Iterator<Item = &mut IdbStore> {
+        self.copies.iter_mut().flatten()
+    }
+
+    /// The live tuples of `r`.
+    pub(crate) fn tuples(&self, r: RelId) -> Box<dyn Iterator<Item = Vec<Elem>> + '_> {
+        match &self.copies[r.0] {
+            Some(st) => Box::new(st.store.iter()),
+            None => Box::new(self.input.rel(r).iter().map(<[Elem]>::to_vec)),
+        }
+    }
+
+    /// The extent size [`plan`] breaks ties by.
+    fn len(&self, r: RelId) -> usize {
+        self.copies[r.0]
+            .as_ref()
+            .map_or(self.input.rel(r).len(), |st| st.store.len())
+    }
+
+    /// How the kernel serves a planned [`Access::Probe`] of `r` on
+    /// `key`, with whatever index that needs prepared. An owned copy
+    /// keeps the probe and indexes its store. On a shared relation, one
+    /// bound column of a binary relation is served by the structure's
+    /// adjacency lists ([`Access::Adjacent`]); any other bound prefix
+    /// `0..k` needs no index either — the rows are sorted — so it
+    /// becomes [`Access::ProbePrefix`]; every other key becomes an
+    /// [`Access::ProbeIndex`] into the slot table.
+    fn prepare(&mut self, r: RelId, key: &[usize]) -> Access {
+        if let Some(st) = &mut self.copies[r.0] {
+            st.ensure_index(key);
+            return Access::Probe(key.to_vec());
+        }
+        if let [col] = *key {
+            if self.input.has_adjacency(r) {
+                return Access::Adjacent(col);
+            }
+        }
+        if key.iter().enumerate().all(|(i, &p)| i == p) {
+            return Access::ProbePrefix(key.len());
+        }
+        let idx = self.input.rel(r).index(key);
+        let slot = self.slots.iter().position(|s| Arc::ptr_eq(s, &idx));
+        Access::ProbeIndex(slot.unwrap_or_else(|| {
+            self.slots.push(idx);
+            self.slots.len() - 1
+        }))
+    }
+
+    fn extent(&self, r: RelId) -> Extent<'_> {
+        match &self.copies[r.0] {
+            Some(st) => Extent::Columnar(st),
+            None => Extent::Shared(&self.input, r, &self.slots),
+        }
+    }
+}
+
+/// The extent one body atom reads: a columnar store (an IDB, or an
+/// owned EDB relation), or a shared relation of the input structure
+/// with the EDB's index slots.
 enum Extent<'a> {
     Columnar(&'a IdbStore),
-    Sorted(&'a Structure, RelId, &'a [Arc<TupleIndex>]),
+    Shared(&'a Structure, RelId, &'a [Arc<TupleIndex>]),
 }
 
 /// Everything the join kernel needs for one rule application. Each
@@ -218,7 +283,7 @@ enum Extent<'a> {
 struct ExecCtx<'a> {
     rule: &'a Rule,
     plan: &'a [Step],
-    edb: Edb<'a>,
+    edb: &'a Edb,
     idb: &'a [IdbStore],
     /// Row ids for the `ScanDelta` step, indexing into the driven
     /// predicate's store (a shard, or the whole delta).
@@ -245,7 +310,7 @@ impl<'a> ExecCtx<'a> {
     fn new(
         rule: &'a Rule,
         plan: &'a [Step],
-        edb: Edb<'a>,
+        edb: &'a Edb,
         idb: &'a [IdbStore],
         driver: &'a [u32],
         domain: u32,
@@ -277,10 +342,9 @@ impl<'a> ExecCtx<'a> {
     }
 
     fn extent(&self, pred: Pred) -> Extent<'a> {
-        match (pred, self.edb) {
-            (Pred::Idb(j), _) => Extent::Columnar(&self.idb[j]),
-            (Pred::Edb(r), Edb::Columnar(edb)) => Extent::Columnar(&edb[r.0]),
-            (Pred::Edb(r), Edb::Sorted(s, indexes)) => Extent::Sorted(s, r, indexes),
+        match pred {
+            Pred::Idb(j) => Extent::Columnar(&self.idb[j]),
+            Pred::Edb(r) => self.edb.extent(r),
         }
     }
 }
@@ -425,7 +489,8 @@ fn try_candidate(
 /// emitting head instantiations once every step is satisfied. Ticks
 /// the budget once per step entered. Candidates are walked as row ids
 /// over columnar stores (skipping tombstoned rows), as sorted-row
-/// slices, or as a bound value and its adjacency list — no path
+/// slices of a shared relation, or as a bound value and its adjacency
+/// list — no path
 /// materializes a tuple or a probe key on the heap. `emit` returns
 /// `false` to stop the whole join (the runtime's proof search wants one
 /// witness), which the kernel forwards as `Ok(false)`.
@@ -446,7 +511,7 @@ fn exec(
     let mut stack = [0; VAL_STACK];
     let mut heap = Vec::new();
     match (&step.access, ctx.extent(atom.pred)) {
-        (Access::NegCheck, extent) => {
+        (Access::Member, extent) => {
             // The planner placed this step only once every argument
             // was bound, so one membership probe decides the subtree.
             ctx.probes.set(ctx.probes.get() + 1);
@@ -454,9 +519,9 @@ fn exec(
             let t = fill_slice(ctx, n, (0..n).map(bound), &mut stack, &mut heap);
             let present = match extent {
                 Extent::Columnar(ext) => ext.store.contains(t),
-                Extent::Sorted(s, r, _) => index::probe_prefix(s.rel(r), t).next().is_some(),
+                Extent::Shared(s, r, _) => index::probe_prefix(s.rel(r), t).next().is_some(),
             };
-            if !present {
+            if present != atom.negated {
                 return exec(ctx, step_i + 1, binding, budget, emit);
             }
         }
@@ -493,7 +558,7 @@ fn exec(
                 }
             }
         }
-        (Access::Scan, Extent::Sorted(s, r, _)) => {
+        (Access::Scan, Extent::Shared(s, r, _)) => {
             let rel = s.rel(r);
             index::note_scan(rel.len() as u64);
             for t in rel.iter() {
@@ -502,7 +567,7 @@ fn exec(
                 }
             }
         }
-        (&Access::Adjacent(col), Extent::Sorted(s, r, _)) => {
+        (&Access::Adjacent(col), Extent::Shared(s, r, _)) => {
             // Adjacency lists are sorted, so candidates come in the
             // relation's row order, as from a prefix or index probe.
             let u = bound(col);
@@ -519,7 +584,7 @@ fn exec(
                 }
             }
         }
-        (Access::ProbePrefix(k), Extent::Sorted(s, r, _)) => {
+        (Access::ProbePrefix(k), Extent::Shared(s, r, _)) => {
             let prefix = fill_slice(ctx, *k, (0..*k).map(bound), &mut stack, &mut heap);
             for t in index::probe_prefix(s.rel(r), prefix) {
                 if !try_candidate(ctx, step_i, |p| t[p], binding, budget, emit)? {
@@ -527,7 +592,7 @@ fn exec(
                 }
             }
         }
-        (Access::ProbeIndex(slot), Extent::Sorted(_, _, indexes)) => {
+        (Access::ProbeIndex(slot), Extent::Shared(_, _, indexes)) => {
             let idx = &indexes[*slot];
             let key = idx.key();
             let kv = fill_slice(
@@ -543,17 +608,17 @@ fn exec(
                 }
             }
         }
-        (Access::ScanDelta, Extent::Sorted(..)) => {
-            unreachable!("batch delta drivers are IDB atoms")
+        (Access::ScanDelta, Extent::Shared(..)) => {
+            unreachable!("delta drivers are IDB atoms or owned EDB relations")
         }
-        (Access::Probe(_), Extent::Sorted(..)) => {
-            unreachable!("batch EDB probes are rewritten to adjacency, prefix or slot probes")
+        (Access::Probe(_), Extent::Shared(..)) => {
+            unreachable!("probes of shared relations become adjacency, prefix or slot probes")
         }
         (
             Access::Adjacent(_) | Access::ProbePrefix(_) | Access::ProbeIndex(_),
             Extent::Columnar(_),
         ) => {
-            unreachable!("adjacency, prefix and slot probes are planned for the batch EDB only")
+            unreachable!("adjacency, prefix and slot probes are planned for shared relations only")
         }
     }
     Ok(true)
@@ -625,7 +690,7 @@ impl Runner {
     fn run(
         &self,
         round: usize,
-        edb: Edb<'_>,
+        edb: &Edb,
         jobs: &[Job<'_>],
         idb: &mut [IdbStore],
         budget: &Budget,
@@ -640,18 +705,15 @@ impl Runner {
                 items.push((ji, Cow::Borrowed(job.driver)));
                 continue;
             };
-            let st = match (self.rules[job.rule].body[pos].pred, edb) {
-                (Pred::Idb(j), _) => &idb[j].store,
-                (Pred::Edb(r), Edb::Columnar(stores)) => &stores[r.0].store,
-                (Pred::Edb(_), Edb::Sorted(..)) => {
-                    unreachable!("batch delta drivers are IDB atoms")
-                }
+            let st = match self.rules[job.rule].body[pos].pred {
+                Pred::Idb(j) => &idb[j],
+                Pred::Edb(r) => edb.copies[r.0].as_ref().expect("EDB drivers are owned"),
             };
             // Row hashes balance the shards: an even share plus 1/8.
             let per_shard = job.driver.len() / workers * 9 / 8 + 1;
             let mut shards: Vec<Vec<u32>> = vec![Vec::with_capacity(per_shard); workers];
             for &row in job.driver {
-                shards[(st.row_hash(row) % workers as u64) as usize].push(row);
+                shards[(st.store.row_hash(row) % workers as u64) as usize].push(row);
             }
             let ideal = job.driver.len().div_ceil(workers).max(1);
             let fullest = shards.iter().map(Vec::len).max().unwrap_or(0);
@@ -703,7 +765,7 @@ impl Runner {
     fn stage(
         &self,
         round: usize,
-        edb: Edb<'_>,
+        edb: &Edb,
         jobs: &[Job<'_>],
         items: &[(usize, Cow<'_, [u32]>)],
         idb: &[IdbStore],
@@ -768,96 +830,15 @@ pub(crate) struct PlanRef {
     rule: usize,
 }
 
-/// One EDB representation a [`Fixpoint`] evaluates over (see [`Edb`]
-/// for why there are two).
-pub(crate) trait EdbSource {
-    /// The extent size [`plan`] breaks ties by.
-    fn extent_len(&self, r: RelId) -> usize;
-    /// How the kernel serves a planned [`Access::Probe`] of `r` on
-    /// `key`, with whatever index that needs prepared.
-    fn prepare(&mut self, r: RelId, key: &[usize]) -> Access;
-    /// The EDB as the kernel reads it.
-    fn view(&self) -> Edb<'_>;
-}
-
-/// Batch evaluation's EDB: the input structure, and handles to the hash
-/// indexes its plans probe. Each relation builds an index once and
-/// caches it ([`fmt_structures::Relation::index`]), so goal after goal
-/// on one input builds none again; plans address an index by its slot
-/// here.
-#[derive(Debug)]
-pub(crate) struct SortedEdb<'s> {
-    s: &'s Structure,
-    slots: Vec<Arc<TupleIndex>>,
-}
-
-impl<'s> SortedEdb<'s> {
-    pub(crate) fn new(s: &'s Structure) -> SortedEdb<'s> {
-        SortedEdb {
-            s,
-            slots: Vec::new(),
-        }
-    }
-}
-
-impl EdbSource for SortedEdb<'_> {
-    fn extent_len(&self, r: RelId) -> usize {
-        self.s.rel(r).len()
-    }
-
-    /// One bound column of a binary relation is served by the
-    /// structure's adjacency lists ([`Access::Adjacent`]); any other
-    /// bound prefix `0..k` needs no index either — the rows are sorted
-    /// — so it becomes [`Access::ProbePrefix`]; every other key becomes
-    /// an [`Access::ProbeIndex`] into the slot table.
-    fn prepare(&mut self, r: RelId, key: &[usize]) -> Access {
-        if let [col] = *key {
-            if self.s.has_adjacency(r) {
-                return Access::Adjacent(col);
-            }
-        }
-        if key.iter().enumerate().all(|(i, &p)| i == p) {
-            return Access::ProbePrefix(key.len());
-        }
-        let idx = self.s.rel(r).index(key);
-        let slot = self.slots.iter().position(|s| Arc::ptr_eq(s, &idx));
-        Access::ProbeIndex(slot.unwrap_or_else(|| {
-            self.slots.push(idx);
-            self.slots.len() - 1
-        }))
-    }
-
-    fn view(&self) -> Edb<'_> {
-        Edb::Sorted(self.s, &self.slots)
-    }
-}
-
-/// The runtime's EDB: one columnar store per relation, probed through
-/// its `ColumnIndex`es like an IDB.
-impl EdbSource for Vec<IdbStore> {
-    fn extent_len(&self, r: RelId) -> usize {
-        self[r.0].store.len()
-    }
-
-    fn prepare(&mut self, r: RelId, key: &[usize]) -> Access {
-        self[r.0].ensure_index(key);
-        Access::Probe(key.to_vec())
-    }
-
-    fn view(&self) -> Edb<'_> {
-        Edb::Columnar(self)
-    }
-}
-
 /// The fixpoint driver of one batch evaluation or one incremental
 /// runtime: the EDB, the IDB stores, and one plan cache. A cached plan
 /// is made on first sight, and every index it probes is prepared then;
 /// after that, every path that adds rows catches the indexes up (the
 /// round merge, and the runtime's EDB insertions).
 #[derive(Debug)]
-pub(crate) struct Fixpoint<E> {
+pub(crate) struct Fixpoint {
     pub(crate) runner: Runner,
-    pub(crate) edb: E,
+    pub(crate) edb: Edb,
     pub(crate) idb: Vec<IdbStore>,
     plans: Vec<Vec<Step>>,
     plan_of: HashMap<PlanKey, usize>,
@@ -865,24 +846,24 @@ pub(crate) struct Fixpoint<E> {
     round: usize,
 }
 
-impl<E: EdbSource> Fixpoint<E> {
-    /// A driver for `program` over `edb` with empty IDB stores; unbound
-    /// head variables range over `0..domain`.
+impl Fixpoint {
+    /// A driver for `program` over `input`, every relation shared, with
+    /// empty IDB stores; unbound head variables range over the input's
+    /// domain.
     pub(crate) fn new(
         program: &Program,
-        edb: E,
-        domain: u32,
+        input: &Structure,
         threads: usize,
         site: &'static str,
-    ) -> Fixpoint<E> {
+    ) -> Fixpoint {
         Fixpoint {
             runner: Runner {
                 rules: Arc::clone(&program.rules),
-                domain,
+                domain: input.size(),
                 threads,
                 site,
             },
-            edb,
+            edb: Edb::new(input),
             idb: program.new_store(),
             plans: Vec::new(),
             plan_of: HashMap::new(),
@@ -896,9 +877,29 @@ impl<E: EdbSource> Fixpoint<E> {
         for r in &mut self.idb {
             *r = IdbStore::new(r.store.arity());
         }
+        self.drop_plans();
+        self.round = 0;
+    }
+
+    /// Switches EDB relation `r` to its owned copy, made once from the
+    /// input on the first call. The cached plans were made for the
+    /// shared relation, so a switch drops them: no [`PlanRef`] resolved
+    /// before it may run after it.
+    pub(crate) fn own_edb(&mut self, r: RelId) {
+        if self.edb.copies[r.0].is_none() {
+            let store = TupleStore::from_relation(self.edb.input.rel(r));
+            self.edb.copies[r.0] = Some(IdbStore {
+                store,
+                indexes: Vec::new(),
+            });
+            self.drop_plans();
+        }
+    }
+
+    fn drop_plans(&mut self) {
         self.plans.clear();
         self.plan_of.clear();
-        self.round = 0;
+        self.edb.slots.clear();
     }
 
     /// The cached plan of `key`, made on first sight.
@@ -924,7 +925,7 @@ impl<E: EdbSource> Fixpoint<E> {
             .collect();
         let (edb, idb) = (&self.edb, &self.idb);
         let mut steps = plan(rule, driver, &pre_bound, &|a| match a.pred {
-            Pred::Edb(r) => edb.extent_len(r),
+            Pred::Edb(r) => edb.len(r),
             Pred::Idb(j) => idb[j].store.len(),
         });
         for step in &mut steps {
@@ -963,9 +964,8 @@ impl<E: EdbSource> Fixpoint<E> {
                 driver: &[],
             })
             .collect();
-        let edb = self.edb.view();
         self.runner
-            .run(self.round, edb, &jobs, &mut self.idb, budget)
+            .run(self.round, &self.edb, &jobs, &mut self.idb, budget)
     }
 
     /// One stratum to its fixpoint: the initialization pass, then
@@ -1026,10 +1026,9 @@ impl<E: EdbSource> Fixpoint<E> {
                 })
                 .collect();
             drop(plan_span);
-            let edb = self.edb.view();
-            let (new, derived) = self
-                .runner
-                .run(self.round, edb, &jobs, &mut self.idb, budget)?;
+            let (new, derived) =
+                self.runner
+                    .run(self.round, &self.edb, &jobs, &mut self.idb, budget)?;
             let added = new.iter().map(Vec::len).sum::<usize>() as u64;
             round_span.record_field("new", added);
             on_round(added, derived);
@@ -1082,8 +1081,7 @@ impl<E: EdbSource> Fixpoint<E> {
             }
         }
         let (domain, site) = (self.runner.domain, self.runner.site);
-        let edb = self.edb.view();
-        let idb = &self.idb;
+        let (edb, idb) = (&self.edb, &self.idb);
         let ctx = ExecCtx::new(rule, &self.plans[plan.plan], edb, idb, driver, domain, site);
         exec(&ctx, 0, binding, budget, &mut |t, b| emit(idb, t, b))
     }
@@ -1103,7 +1101,7 @@ mod tests {
         let mut bound = vec![false; rule_num_vars(rule)];
         bound[..pre_bound.len()].copy_from_slice(pre_bound);
         for step in plan {
-            if step.access == Access::NegCheck {
+            if step.access == Access::Member {
                 assert!(step.fresh.is_empty(), "{plan:?}");
             }
             for &v in &step.fresh {
@@ -1185,7 +1183,7 @@ mod tests {
         // column, which the structure's out-neighbour lists serve.
         let prog = Program::same_generation();
         let s = builders::full_binary_tree(3);
-        let mut fx = Fixpoint::new(&prog, SortedEdb::new(&s), s.size(), 1, "test");
+        let mut fx = Fixpoint::new(&prog, &s, 1, "test");
         let pi = fx.plan(PlanKey::Driver { rule: 1, pos: 2 });
         assert_eq!(fx.plans[pi][0].access, Access::ScanDelta);
         for step in &fx.plans[pi][1..] {
@@ -1194,14 +1192,14 @@ mod tests {
         // tc with the delta at position 1 binds y, the second column of
         // e(x, y): the in-neighbour lists serve it, and no slot is taken.
         let prog = Program::transitive_closure();
-        let mut fx = Fixpoint::new(&prog, SortedEdb::new(&s), s.size(), 1, "test");
+        let mut fx = Fixpoint::new(&prog, &s, 1, "test");
         let pi = fx.plan(PlanKey::Driver { rule: 1, pos: 1 });
         assert_eq!(fx.plans[pi][1].access, Access::Adjacent(1));
         assert!(fx.edb.slots.is_empty());
         // A ternary relation has no adjacency lists: a bound prefix is a
         // prefix probe, and a non-prefix key probes a slot holding the
         // relation's own index on that key. A binary atom with both
-        // columns bound is a prefix probe too.
+        // columns bound is a membership check.
         let sig = Signature::builder()
             .relation("E", 2)
             .relation("T", 3)
@@ -1219,7 +1217,7 @@ mod tests {
             b.add(t, &[i, 0, i + 1]).unwrap();
         }
         let s = b.build().unwrap();
-        let mut fx = Fixpoint::new(&prog, SortedEdb::new(&s), s.size(), 1, "test");
+        let mut fx = Fixpoint::new(&prog, &s, 1, "test");
         let pi = fx.plan(PlanKey::Driver { rule: 0, pos: 1 });
         let Access::ProbeIndex(slot) = fx.plans[pi][1].access else {
             panic!("t atom not an index probe: {:?}", fx.plans[pi]);
@@ -1228,16 +1226,24 @@ mod tests {
         let pi = fx.plan(PlanKey::Driver { rule: 1, pos: 0 });
         assert_eq!(fx.plans[pi][1].access, Access::ProbePrefix(1));
         let pi = fx.plan(PlanKey::Driver { rule: 2, pos: 0 });
-        assert_eq!(fx.plans[pi][1].access, Access::ProbePrefix(2));
-        // A goal plan binds the head first, so the IDB atom is a probe,
-        // and its index exists as soon as the plan is made.
+        assert_eq!(fx.plans[pi][1].access, Access::Member);
+        // A goal plan binds the head first. Over the empty `e` both
+        // edge atoms come first and bind the whole sg atom, which is
+        // then a membership check: no index is built over sg.
         let prog = Program::same_generation();
-        let mut fx = Fixpoint::new(&prog, SortedEdb::new(&s), s.size(), 1, "test");
+        let mut fx = Fixpoint::new(&prog, &s, 1, "test");
         let pi = fx.plan(PlanKey::Goal { rule: 1 });
         let step = fx.plans[pi].iter().find(|st| st.atom == 2).unwrap();
-        let Access::Probe(key) = &step.access else {
-            panic!("sg atom not a probe: {:?}", fx.plans[pi]);
+        assert_eq!(step.access, Access::Member, "{:?}", fx.plans[pi]);
+        assert!(fx.idb[0].indexes.is_empty());
+        // Once `e` is owned, its probes are hash-index probes of the
+        // copy, whose index exists as soon as the plan is made.
+        fx.own_edb(RelId(0));
+        let pi = fx.plan(PlanKey::Goal { rule: 1 });
+        let Access::Probe(key) = &fx.plans[pi][0].access else {
+            panic!("e atom not a probe: {:?}", fx.plans[pi]);
         };
-        assert!(fx.idb[0].indexes.iter().any(|(k, _)| k == key));
+        let e = fx.edb.owned(RelId(0));
+        assert!(e.indexes.iter().any(|(k, _)| k == key));
     }
 }

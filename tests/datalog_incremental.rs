@@ -161,7 +161,7 @@ proptest! {
             rt.retract(e, &[u, v]);
         }
         rt.poll();
-        prop_assert!(rt.edb(e).is_empty(), "EDB not drained");
+        prop_assert!(rt.edb(e).next().is_none(), "EDB not drained");
         let want = scratch(&prog, 4, &BTreeSet::new());
         for (i, rows) in want.iter().enumerate() {
             let mut got: Vec<Vec<Elem>> = rt.query(i).iter().collect();

@@ -162,10 +162,24 @@ fn round_deltas(t: &trace::Trace) -> Vec<(u64, u64)> {
         .collect()
 }
 
-/// A runtime's first poll rebuilds through the batch engine's stratum
-/// pass, so it runs the batch rounds span for span: the same
-/// `datalog.round` spans, each driving the same delta to the same new
-/// facts.
+/// The `(rule, pos, round, probes, derived)` fields of every
+/// `datalog.rule` span in `t`, in the order the rules ran.
+fn rule_work(t: &trace::Trace) -> Vec<[u64; 5]> {
+    t.events
+        .iter()
+        .filter(|e| e.name == "datalog.rule")
+        .map(|e| {
+            ["rule", "pos", "round", "probes", "derived"]
+                .map(|name| field(e, name).unwrap_or(u64::MAX))
+        })
+        .collect()
+}
+
+/// A fresh runtime's first poll is the batch evaluation of its input,
+/// which it reads in place, so it runs the batch rounds span for span:
+/// the same `datalog.round` spans, each driving the same delta to the
+/// same new facts, and the same `datalog.rule` spans, each probing as
+/// many candidates and deriving as many facts.
 #[test]
 fn rebuild_polls_run_the_batch_rounds_span_for_span() {
     let _g = locked();
@@ -175,13 +189,14 @@ fn rebuild_polls_run_the_batch_rounds_span_for_span() {
     ] {
         trace::start();
         prog.eval_seminaive(&s);
-        let batch = round_deltas(&trace::stop());
+        let batch = trace::stop();
         let mut rt = DatalogRuntime::from_structure(prog, &s).expect("negation-free");
         trace::start();
         rt.poll();
-        let rebuild = round_deltas(&trace::stop());
-        assert!(batch.len() > 2, "{batch:?}");
-        assert_eq!(batch, rebuild);
+        let rebuild = trace::stop();
+        assert!(round_deltas(&batch).len() > 2, "{:?}", round_deltas(&batch));
+        assert_eq!(round_deltas(&batch), round_deltas(&rebuild));
+        assert_eq!(rule_work(&batch), rule_work(&rebuild));
     }
 }
 
