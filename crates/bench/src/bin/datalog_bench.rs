@@ -25,9 +25,12 @@
 //! one write, then exits 1 naming every gate that missed. Gates compare
 //! against the pinned [`BASELINES`], never against a figure this
 //! harness writes. Per-process layout (ASLR, heap placement) moves
-//! hot-loop timings by a few percent, so on a miss the binary
-//! re-executes itself with the same arguments, up to [`ATTEMPTS`]
-//! processes in all; a real regression misses in every one.
+//! hot-loop timings: they are bimodal per process, not spread, so one
+//! process can miss a gate that the next one meets. On a miss the
+//! binary re-executes itself with the same arguments, up to
+//! [`ATTEMPTS`] processes in all, and exits 0 as soon as one process
+//! meets every gate. A regression smaller than the gap between the two
+//! modes can therefore pass in a process that lands in the fast one.
 //!
 //! The scan engine's tuple-visit count is measured directly where
 //! feasible. SG at depth 9 would scan ≈ |e|²·Σ|Δ| ≈ 3.6 × 10¹¹ tuples,

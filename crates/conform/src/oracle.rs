@@ -132,14 +132,14 @@ impl<S: Shape> Oracle for S {
     fn run_case(&self, rng: &mut StdRng, seed: u64, case: u64) -> Option<ReproCase> {
         self.counter().incr();
         let input = self.generate(rng);
-        let note = self.check(&input).err()?;
-        let still_fails = &mut |c: &S::Case| self.check(c).is_err();
+        let note = guarded_check(self, &input).err()?;
+        let still_fails = &mut |c: &S::Case| guarded_check(self, c).is_err();
         let (input, _) = minimize(input, still_fails, SHRINK_BUDGET);
         let mut repro = ReproCase {
             oracle: S::NAME.to_owned(),
             seed,
             case,
-            note: self.check(&input).err().unwrap_or(note),
+            note: guarded_check(self, &input).err().unwrap_or(note),
             sig: vec![("E".to_owned(), 2)],
             ..ReproCase::default()
         };
@@ -148,8 +148,19 @@ impl<S: Shape> Oracle for S {
     }
 
     fn replay(&self, repro: &ReproCase) -> Result<(), String> {
-        self.check(&self.decode(repro)?)
+        guarded_check(self, &self.decode(repro)?)
     }
+}
+
+/// [`Shape::check`], with a panic anywhere in it reported as a failed
+/// check rather than unwinding out of the hunt or the replay.
+fn guarded_check<S: Shape>(shape: &S, case: &S::Case) -> Result<(), String> {
+    catch_unwind(AssertUnwindSafe(|| shape.check(case))).unwrap_or_else(|payload| {
+        let msg = (payload.downcast_ref::<&str>().copied())
+            .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+            .unwrap_or("non-string payload");
+        Err(format!("panicked: {msg}"))
+    })
 }
 
 /// All registered oracles, in round-robin order.
@@ -1523,6 +1534,51 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A shape whose check panics on every case above 2.
+    struct PanicsAboveTwo;
+
+    static OBS_PANICS: Counter = Counter::new("conform.oracle.test_panics");
+
+    impl Shape for PanicsAboveTwo {
+        const NAME: &'static str = "panics-above-two";
+        type Case = u64;
+
+        fn counter(&self) -> &'static Counter {
+            &OBS_PANICS
+        }
+
+        fn generate(&self, _rng: &mut StdRng) -> u64 {
+            40
+        }
+
+        fn check(&self, &n: &u64) -> Result<(), String> {
+            assert!(n <= 2, "case {n} is above two");
+            Ok(())
+        }
+
+        fn encode(&self, &n: &u64, repro: &mut ReproCase) {
+            repro.params.push(param("n", n));
+        }
+
+        fn decode(&self, repro: &ReproCase) -> Result<u64, String> {
+            repro.param_u64("n")
+        }
+    }
+
+    #[test]
+    fn a_panicking_check_is_a_reported_case() {
+        // The panic is caught in the first check, in every shrink step
+        // and in the replay: the hunt shrinks it to the smallest
+        // panicking case and writes it, and the replay reports it.
+        let oracle = PanicsAboveTwo;
+        let mut rng = StdRng::seed_from_u64(1);
+        let repro = oracle.run_case(&mut rng, 1, 0).expect("a panic is a case");
+        assert_eq!(repro.note, "panicked: case 3 is above two");
+        assert_eq!(repro.param("n"), Some("3"));
+        let replayed = oracle.replay(&repro).unwrap_err();
+        assert!(replayed.starts_with("panicked: "), "{replayed}");
     }
 
     #[test]

@@ -12,7 +12,7 @@
 
 use fmt_logic::{nf, Formula, Query, Term, Var};
 use fmt_structures::budget::{Budget, BudgetResult};
-use fmt_structures::index::{self, TupleIndex};
+use fmt_structures::index::{self, ColumnIndex};
 use fmt_structures::{Elem, Structure};
 use std::collections::HashSet;
 
@@ -170,11 +170,9 @@ impl Table {
 
         // Hash-index `other` on the shared key (the same index structure
         // the Datalog join engine probes).
-        let index = TupleIndex::build(
-            other.vars.len(),
-            &other_shared,
-            other.rows.iter().map(Vec::as_slice),
-        );
+        let other_rows: Vec<&[Elem]> = other.rows.iter().map(Vec::as_slice).collect();
+        let mut index = ColumnIndex::new(&other_shared);
+        index.extend(&other_rows[..]);
 
         let mut vars: Vec<Var> = self.vars.clone();
         vars.extend(other_extra.iter().map(|&i| other.vars[i]));
@@ -188,8 +186,9 @@ impl Table {
             budget.tick(AT)?;
             key.clear();
             key.extend(self_shared.iter().map(|&i| r[i]));
-            for m in index.probe(&key) {
+            for id in index.probe(&other_rows[..], &key) {
                 budget.tick(AT)?;
+                let m = other_rows[id as usize];
                 let mut combined: Vec<Elem> = r.clone();
                 combined.extend(other_extra.iter().map(|&i| m[i]));
                 let sorted: Vec<Elem> = order.iter().map(|&i| combined[i]).collect();

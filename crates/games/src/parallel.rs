@@ -9,8 +9,8 @@
 //! move is found.
 //!
 //! Worth it only when single positions are expensive (larger
-//! structures, deeper games); the `ef_games` bench compares. Results
-//! are bit-for-bit identical to the serial solver (asserted in tests).
+//! structures, deeper games). Results are bit-for-bit identical to the
+//! serial solver (asserted in tests).
 
 use crate::solver::{EfSolver, Side};
 use fmt_structures::budget::{Budget, BudgetResult};

@@ -1119,13 +1119,13 @@ impl Program {
 /// The mutable extent of one IDB predicate (or of an EDB relation the
 /// incremental runtime owns) during a fixpoint run: a
 /// columnar [`TupleStore`] (arenas + row-id dedup in one) plus
-/// incrementally-maintained [`ColumnIndex`]es keyed by bound-position
-/// subsets. The handful of indexes per predicate live in a `Vec` —
-/// a linear key scan beats hashing a `Vec<usize>` per probe.
+/// incrementally-maintained [`ColumnIndex`]es, each keyed by one
+/// bound-position subset. The handful of indexes per predicate live in
+/// a `Vec` — a linear key scan beats hashing a `Vec<usize>` per probe.
 #[derive(Debug)]
 pub(crate) struct IdbStore {
     pub(crate) store: TupleStore,
-    pub(crate) indexes: Vec<(Vec<usize>, ColumnIndex)>,
+    pub(crate) indexes: Vec<ColumnIndex>,
 }
 
 impl IdbStore {
@@ -1137,27 +1137,25 @@ impl IdbStore {
     }
 
     pub(crate) fn ensure_index(&mut self, key: &[usize]) {
-        if self.indexes.iter().any(|(k, _)| k == key) {
+        if self.indexes.iter().any(|idx| idx.key() == key) {
             return;
         }
         let mut idx = ColumnIndex::new(key);
         idx.extend(&self.store);
-        self.indexes.push((key.to_vec(), idx));
+        self.indexes.push(idx);
     }
 
     pub(crate) fn index(&self, key: &[usize]) -> &ColumnIndex {
-        &self
-            .indexes
+        self.indexes
             .iter()
-            .find(|(k, _)| k == key)
+            .find(|idx| idx.key() == key)
             .expect("index was prepared when its plan was made")
-            .1
     }
 
     /// Catches every index up to the rows appended since the last call
     /// (the semi-naive merge step).
     pub(crate) fn extend_indexes(&mut self) {
-        for (_, idx) in &mut self.indexes {
+        for idx in &mut self.indexes {
             idx.extend(&self.store);
         }
     }

@@ -989,8 +989,8 @@ fn compact_if_mostly_dead(rel: &mut IdbStore) {
         return;
     }
     let _ = rel.store.compact();
-    for (key, idx) in &mut rel.indexes {
-        *idx = ColumnIndex::new(key);
+    for idx in &mut rel.indexes {
+        *idx = ColumnIndex::new(idx.key());
         idx.extend(&rel.store);
     }
 }
@@ -1230,6 +1230,8 @@ mod tests {
             std::ptr::eq(edb.input.rel(e), input.rel(e)),
             "E is read in place"
         );
+        assert!(edb.input.rel(src).is_empty(), "S is held twice");
+        assert_eq!(input.rel(src).len(), 1, "the caller lost its S");
         assert!(edb.copies[e.0].is_none(), "E was copied");
         assert!(edb.copies[src.0].is_some(), "S was not copied on update");
         assert!(edb.slots.is_empty(), "an index was built over E");

@@ -17,7 +17,7 @@
 
 use crate::datalog::{rule_num_vars, Atom, IdbStore, Pred, Program, Rule};
 use fmt_structures::budget::{Budget, BudgetResult};
-use fmt_structures::index::{self, TupleIndex};
+use fmt_structures::index::{self, ColumnIndex};
 use fmt_structures::par::fan_out;
 use fmt_structures::store::{self, TupleStore};
 use fmt_structures::{Elem, RelId, Structure};
@@ -190,12 +190,12 @@ pub(crate) fn plan(
 #[derive(Debug)]
 pub(crate) struct Edb {
     /// The input structure: a clone sharing its relations and adjacency
-    /// lists.
+    /// lists, with each owned relation emptied.
     pub(crate) input: Structure,
     /// Per relation (by `RelId.0`), its owned copy once it has one.
     pub(crate) copies: Vec<Option<IdbStore>>,
     /// The hash indexes of the plans' [`Access::ProbeIndex`] slots.
-    pub(crate) slots: Vec<Arc<TupleIndex>>,
+    pub(crate) slots: Vec<Arc<ColumnIndex>>,
 }
 
 impl Edb {
@@ -274,7 +274,7 @@ impl Edb {
 /// with the EDB's index slots.
 enum Extent<'a> {
     Columnar(&'a IdbStore),
-    Shared(&'a Structure, RelId, &'a [Arc<TupleIndex>]),
+    Shared(&'a Structure, RelId, &'a [Arc<ColumnIndex>]),
 }
 
 /// Everything the join kernel needs for one rule application. Each
@@ -592,8 +592,8 @@ fn exec(
                 }
             }
         }
-        (Access::ProbeIndex(slot), Extent::Shared(_, _, indexes)) => {
-            let idx = &indexes[*slot];
+        (Access::ProbeIndex(slot), Extent::Shared(s, r, indexes)) => {
+            let (rel, idx) = (s.rel(r), &indexes[*slot]);
             let key = idx.key();
             let kv = fill_slice(
                 ctx,
@@ -602,7 +602,8 @@ fn exec(
                 &mut stack,
                 &mut heap,
             );
-            for t in idx.probe(kv) {
+            for id in idx.probe(rel, kv) {
+                let t = rel.row(id as usize);
                 if !try_candidate(ctx, step_i, |p| t[p], binding, budget, emit)? {
                     return Ok(false);
                 }
@@ -882,12 +883,14 @@ impl Fixpoint {
     }
 
     /// Switches EDB relation `r` to its owned copy, made once from the
-    /// input on the first call. The cached plans were made for the
-    /// shared relation, so a switch drops them: no [`PlanRef`] resolved
-    /// before it may run after it.
+    /// input on the first call, which empties `r` in the input clone so
+    /// that the runtime holds one copy of it. The cached plans were
+    /// made for the shared relation, so a switch drops them: no
+    /// [`PlanRef`] resolved before it may run after it.
     pub(crate) fn own_edb(&mut self, r: RelId) {
         if self.edb.copies[r.0].is_none() {
             let store = TupleStore::from_relation(self.edb.input.rel(r));
+            self.edb.input.clear_relation(r);
             self.edb.copies[r.0] = Some(IdbStore {
                 store,
                 indexes: Vec::new(),
@@ -1244,6 +1247,6 @@ mod tests {
             panic!("e atom not a probe: {:?}", fx.plans[pi]);
         };
         let e = fx.edb.owned(RelId(0));
-        assert!(e.indexes.iter().any(|(k, _)| k == key));
+        assert!(e.indexes.iter().any(|idx| idx.key() == key));
     }
 }

@@ -1,8 +1,8 @@
-//! Shared tuple-index subsystem for the join engines.
+//! Shared keyed-access layer for the join engines.
 //!
 //! Both the Datalog fixpoint engine (`fmt-queries`) and the relational
 //! algebra evaluator (`fmt-eval`) join relations by repeatedly asking
-//! "which tuples have these values at these positions?". Answering that
+//! "which rows hold these values at these positions?". Answering that
 //! by rescanning the full extent per partial binding is what made the
 //! survey's fixpoint workloads slow; this module centralizes the fast
 //! answers instead:
@@ -12,19 +12,19 @@
 //!   cost, reuses the sort that [`Relation`] maintains anyway);
 //! * [`note_probe`] — meters a probe answered elsewhere, such as from
 //!   a binary relation's adjacency lists in [`crate::Structure`];
-//! * [`TupleIndex`] — a hash index over owned flat rows, keyed by an
-//!   arbitrary subset of positions;
-//! * [`ColumnIndex`] — the same keyed lookup over a [`TupleStore`]'s
-//!   column arenas, yielding row ids instead of slices, maintained
-//!   incrementally as the fixpoint loop appends.
+//! * [`ColumnIndex`] — a hash index keyed by an arbitrary subset of
+//!   positions over any [`Rows`] source: a [`TupleStore`]'s column
+//!   arenas (maintained incrementally as the fixpoint loop appends), a
+//!   [`Relation`]'s sorted rows, or a slice of rows. It owns no row
+//!   data and yields row ids.
 //!
-//! Both hash indexes key their buckets by a **hash of the keyed
-//! columns** (`HashMap<u64, Vec<u32>>`), folding the projected values
-//! directly into the hash — building and probing never materialize a
-//! key `Vec<Elem>`. Hash collisions are resolved by verifying every
-//! bucket candidate's keyed columns against the probe values, so a
-//! degenerate hash function changes performance, never answers (the
-//! collision tests below force exactly that).
+//! The index keys its buckets by a **hash of the keyed columns**
+//! (`HashMap<u64, Vec<u32>>`), folding the projected values directly
+//! into the hash — building and probing never materialize a key
+//! `Vec<Elem>`. Hash collisions are resolved by verifying every bucket
+//! candidate's keyed columns against the probe values, so a degenerate
+//! hash function changes performance, never answers (the collision
+//! tests below force exactly that on every row source).
 //!
 //! Every probe and scan is metered so `fmtk --stats` and the perf
 //! regression tests can compare indexed and scan evaluation exactly.
@@ -102,115 +102,74 @@ pub fn probe_prefix<'a>(rel: &'a Relation, prefix: &[Elem]) -> impl Iterator<Ite
     rel.rows_in(range)
 }
 
-/// Folds the values at `key` positions of `tuple` into a hash.
-#[inline]
-fn key_hash(key: &[usize], tuple: &[Elem]) -> u64 {
-    key.iter().fold(FNV_SEED, |h, &p| fnv_step(h, tuple[p]))
-}
+/// A row source a [`ColumnIndex`] can index: rows with dense ids
+/// `0..rows32()`, read one value at a time.
+pub trait Rows {
+    /// One past the last row id.
+    fn rows32(&self) -> u32;
 
-/// A hash index over a set of same-arity tuples, keyed by the values at
-/// a fixed subset of positions.
-///
-/// The index owns flat copies of the indexed tuples, so it can outlive
-/// (and be shared across threads independently of) the collection it
-/// was built from — the property the parallel fixpoint rounds rely on.
-/// Buckets are keyed by a hash of the projected columns; candidates are
-/// verified against the flat row arena on probe, so neither insert nor
-/// probe allocates a key vector.
-#[derive(Debug, Clone)]
-pub struct TupleIndex {
-    arity: usize,
-    key: Vec<usize>,
-    rows: Vec<Elem>,
-    /// Nullary rows occupy no arena space, so track their count.
-    len: usize,
-    map: BucketMap,
-}
+    /// The value of row `id` at column `col`.
+    fn value(&self, id: u32, col: usize) -> Elem;
 
-impl TupleIndex {
-    /// Builds an index over `tuples`, keyed by the positions in `key`.
-    ///
-    /// # Panics
-    /// Panics (in debug builds) if a key position is out of range or a
-    /// tuple has the wrong arity.
-    pub fn build<'a, I>(arity: usize, key: &[usize], tuples: I) -> TupleIndex
-    where
-        I: IntoIterator<Item = &'a [Elem]>,
-    {
-        debug_assert!(key.iter().all(|&p| p < arity) || arity == 0);
-        let mut idx = TupleIndex {
-            arity,
-            key: key.to_vec(),
-            rows: Vec::new(),
-            len: 0,
-            map: BucketMap::default(),
-        };
-        OBS_BUILDS.incr();
-        for t in tuples {
-            idx.insert(t);
-        }
-        idx
-    }
-
-    /// Adds one tuple (used to maintain IDB indexes incrementally as a
-    /// fixpoint round merges its delta). Hashes the projected columns
-    /// in place — no key allocation.
-    pub fn insert(&mut self, tuple: &[Elem]) {
-        debug_assert_eq!(tuple.len(), self.arity);
-        let id = self.len as u32;
-        self.len += 1;
-        self.rows.extend_from_slice(tuple);
-        let h = key_hash(&self.key, tuple);
-        self.map.entry(h).or_default().push(id);
-        OBS_BUILD_TUPLES.incr();
-    }
-
-    /// The key positions this index is built on.
-    pub fn key(&self) -> &[usize] {
-        &self.key
-    }
-
-    /// Number of indexed tuples.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// `true` if no tuples are indexed.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// The flat row with the given id.
+    /// `false` for a deleted row, which probes skip.
     #[inline]
-    fn row(&self, id: u32) -> &[Elem] {
-        &self.rows[id as usize * self.arity..(id as usize + 1) * self.arity]
-    }
-
-    /// All tuples whose key positions hold exactly `key_vals` (in the
-    /// order of [`TupleIndex::key`]). Bucket candidates are verified
-    /// column-by-column, so hash collisions cannot leak wrong tuples.
-    pub fn probe<'a>(&'a self, key_vals: &'a [Elem]) -> impl Iterator<Item = &'a [Elem]> + 'a {
-        debug_assert_eq!(key_vals.len(), self.key.len());
-        OBS_PROBE_OPS.incr();
-        let h = key_vals.iter().fold(FNV_SEED, |h, &v| fnv_step(h, v));
-        let ids: &[u32] = self.map.get(&h).map_or(&[], Vec::as_slice);
-        OBS_PROBES.add(ids.len() as u64);
-        ids.iter().map(|&id| self.row(id)).filter(move |row| {
-            self.key
-                .iter()
-                .zip(key_vals.iter())
-                .all(|(&p, &v)| row[p] == v)
-        })
+    fn is_live(&self, _id: u32) -> bool {
+        true
     }
 }
 
-/// A keyed hash index over the rows of a [`TupleStore`].
+/// Arena rows, live or tombstoned.
+impl Rows for TupleStore {
+    #[inline]
+    fn rows32(&self) -> u32 {
+        TupleStore::rows32(self)
+    }
+
+    #[inline]
+    fn value(&self, id: u32, col: usize) -> Elem {
+        TupleStore::value(self, id, col)
+    }
+
+    #[inline]
+    fn is_live(&self, id: u32) -> bool {
+        TupleStore::is_live(self, id)
+    }
+}
+
+/// Sorted rows: a row id is a position in lexicographic order.
+impl Rows for Relation {
+    #[inline]
+    fn rows32(&self) -> u32 {
+        self.len() as u32
+    }
+
+    #[inline]
+    fn value(&self, id: u32, col: usize) -> Elem {
+        self.row(id as usize)[col]
+    }
+}
+
+/// Rows in slice order.
+impl Rows for [&[Elem]] {
+    #[inline]
+    fn rows32(&self) -> u32 {
+        self.len() as u32
+    }
+
+    #[inline]
+    fn value(&self, id: u32, col: usize) -> Elem {
+        self[id as usize][col]
+    }
+}
+
+/// A keyed hash index over the rows of a [`Rows`] source.
 ///
-/// Unlike [`TupleIndex`], a `ColumnIndex` owns no row data: it maps a
-/// hash of the keyed columns to the row ids holding those values, and
-/// verification reads the store's arenas directly. `extend` picks up
-/// rows appended since the last call, which is exactly the shape of the
-/// semi-naive merge step (indexes always cover `0..store.len()`).
+/// A `ColumnIndex` owns no row data: it maps a hash of the keyed
+/// columns to the ids of the rows holding those values, and
+/// verification reads the source directly, so every probe is passed
+/// the source the index was built over. `extend` picks up rows
+/// appended since the last call, which is exactly the shape of the
+/// semi-naive merge step (indexes always cover `0..rows32()`).
 #[derive(Debug, Clone)]
 pub struct ColumnIndex {
     key: Vec<usize>,
@@ -247,34 +206,36 @@ impl ColumnIndex {
         self.built_upto
     }
 
-    /// Indexes every store row appended since the previous `extend`.
+    /// Indexes every row of `rows` appended since the previous
+    /// `extend`.
     ///
     /// # Panics
-    /// Panics (in debug builds) if a key position is out of range for
-    /// the store's arity.
-    pub fn extend(&mut self, store: &TupleStore) {
-        debug_assert!(self.key.iter().all(|&p| p < store.arity()) || store.arity() == 0);
-        let upto = store.rows32();
+    /// Panics if a key position is out of range for a row.
+    #[inline]
+    pub fn extend<R: Rows + ?Sized>(&mut self, rows: &R) {
+        let upto = rows.rows32();
         for id in self.built_upto..upto {
             let h = self
                 .key
                 .iter()
-                .fold(FNV_SEED, |h, &p| (self.hasher)(h, store.value(id, p)));
+                .fold(FNV_SEED, |h, &p| (self.hasher)(h, rows.value(id, p)));
             self.map.entry(h).or_default().push(id);
             OBS_BUILD_TUPLES.incr();
         }
         self.built_upto = upto;
     }
 
-    /// Row ids of *live* rows in `store` whose keyed columns hold
-    /// exactly `key_vals`. Candidates come from the hash bucket and
-    /// are verified against the arenas, so collisions cannot leak
-    /// wrong rows; tombstoned rows stay in the buckets until the store
-    /// is compacted (and the index rebuilt), so liveness is checked
-    /// here too.
-    pub fn probe<'a>(
+    /// Ids of the *live* rows of `rows` whose keyed columns hold
+    /// exactly `key_vals`, in the order they were indexed. Candidates
+    /// come from the hash bucket and are verified against `rows`, so
+    /// collisions cannot leak wrong rows; a [`TupleStore`]'s
+    /// tombstoned rows stay in the buckets until the store is
+    /// compacted (and the index rebuilt), so liveness is checked here
+    /// too.
+    #[inline]
+    pub fn probe<'a, R: Rows + ?Sized>(
         &'a self,
-        store: &'a TupleStore,
+        rows: &'a R,
         key_vals: &'a [Elem],
     ) -> impl Iterator<Item = u32> + 'a {
         debug_assert_eq!(key_vals.len(), self.key.len());
@@ -283,12 +244,12 @@ impl ColumnIndex {
         let ids: &[u32] = self.map.get(&h).map_or(&[], Vec::as_slice);
         OBS_PROBES.add(ids.len() as u64);
         ids.iter().copied().filter(move |&id| {
-            store.is_live(id)
+            rows.is_live(id)
                 && self
                     .key
                     .iter()
                     .zip(key_vals.iter())
-                    .all(|(&p, &v)| store.value(id, p) == v)
+                    .all(|(&p, &v)| rows.value(id, p) == v)
         })
     }
 }
@@ -296,43 +257,39 @@ impl ColumnIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{builders, Signature};
+    use crate::{builders, Signature, StructureBuilder};
+
+    /// The ids of `rows`' rows whose column 0 holds `k`, by scan.
+    fn scan<R: Rows + ?Sized>(rows: &R, k: Elem) -> Vec<u32> {
+        (0..rows.rows32())
+            .filter(|&id| rows.value(id, 0) == k)
+            .collect()
+    }
 
     #[test]
     fn hash_index_probes_exact_matches() {
-        let tuples: Vec<Vec<Elem>> = vec![vec![0, 1], vec![2, 1], vec![2, 3], vec![4, 1]];
-        let idx = TupleIndex::build(2, &[1], tuples.iter().map(Vec::as_slice));
-        assert_eq!(idx.len(), 4);
-        let key = [1];
-        let hits: Vec<&[Elem]> = idx.probe(&key).collect();
-        assert_eq!(hits, vec![&[0, 1][..], &[2, 1], &[4, 1]]);
-        assert_eq!(idx.probe(&[9]).count(), 0);
+        let rows: [&[Elem]; 4] = [&[0, 1], &[2, 1], &[2, 3], &[4, 1]];
+        let mut idx = ColumnIndex::new(&[1]);
+        idx.extend(&rows[..]);
+        let hits: Vec<u32> = idx.probe(&rows[..], &[1]).collect();
+        assert_eq!(hits, vec![0, 1, 3]);
+        assert_eq!(idx.probe(&rows[..], &[9]).count(), 0);
     }
 
     #[test]
     fn empty_key_yields_every_tuple() {
-        let tuples: Vec<Vec<Elem>> = vec![vec![0, 1], vec![2, 3]];
-        let idx = TupleIndex::build(2, &[], tuples.iter().map(Vec::as_slice));
-        assert_eq!(idx.probe(&[]).count(), 2);
-    }
-
-    #[test]
-    fn incremental_inserts_visible() {
-        let mut idx = TupleIndex::build(2, &[0], std::iter::empty());
-        assert!(idx.is_empty());
-        idx.insert(&[5, 7]);
-        idx.insert(&[5, 8]);
-        let key = [5];
-        let hits: Vec<&[Elem]> = idx.probe(&key).collect();
-        assert_eq!(hits, vec![&[5, 7][..], &[5, 8]]);
+        let rows: [&[Elem]; 2] = [&[0, 1], &[2, 3]];
+        let mut idx = ColumnIndex::new(&[]);
+        idx.extend(&rows[..]);
+        assert_eq!(idx.probe(&rows[..], &[]).count(), 2);
     }
 
     #[test]
     fn nullary_tuples_supported() {
-        let tuples: Vec<Vec<Elem>> = vec![vec![]];
-        let idx = TupleIndex::build(0, &[], tuples.iter().map(Vec::as_slice));
-        assert_eq!(idx.len(), 1);
-        assert_eq!(idx.probe(&[]).count(), 1);
+        let rows: [&[Elem]; 1] = [&[]];
+        let mut idx = ColumnIndex::new(&[]);
+        idx.extend(&rows[..]);
+        assert_eq!(idx.probe(&rows[..], &[]).count(), 1);
     }
 
     #[test]
@@ -379,39 +336,49 @@ mod tests {
     #[test]
     fn column_index_survives_total_hash_collision() {
         // All keyed-column hashes are equal, so every probe walks one
-        // bucket holding every row; verification against the arenas
-        // must still return exactly the matching ids.
+        // bucket holding every row; verification against each row
+        // source must still return exactly the matching ids.
+        fn check<R: Rows + ?Sized>(rows: &R) {
+            let mut idx = ColumnIndex::with_hasher(&[0], collide);
+            idx.extend(rows);
+            for k in 0..6u32 {
+                let probed: Vec<u32> = idx.probe(rows, &[k]).collect();
+                assert_eq!(probed, scan(rows, k), "key [{k}]");
+            }
+        }
+        let sig = Signature::graph();
+        let e = sig.relation("E").unwrap();
         let mut st = TupleStore::new(2);
+        let mut b = StructureBuilder::new(sig, 32);
         for u in 0..32u32 {
             st.push_if_new(&[u % 4, u]);
+            b.add(e, &[u % 4, u]).unwrap();
         }
-        let mut idx = ColumnIndex::with_hasher(&[0], collide);
-        idx.extend(&st);
-        for k in 0..6u32 {
-            let probed: Vec<u32> = idx.probe(&st, &[k]).collect();
-            let scanned: Vec<u32> = (0..st.rows32())
-                .filter(|&id| st.value(id, 0) == k)
-                .collect();
-            assert_eq!(probed, scanned, "key [{k}]");
-        }
+        check(&st);
+        let s = b.build().unwrap();
+        let rel = s.rel(e);
+        check(rel);
+        let rows: Vec<&[Elem]> = rel.iter().collect();
+        check(&rows[..]);
     }
 
     #[test]
-    fn tuple_index_verifies_same_hash_different_keys() {
+    fn relation_index_verifies_same_hash_different_keys() {
         // Distinct keyed values can share a bucket after hashing; the
-        // probe must filter them out. Build a big index and check every
+        // probe must filter them out. Index a relation and check every
         // key against a scan to exercise whatever collisions occur.
-        let tuples: Vec<Vec<Elem>> = (0..256u32).map(|u| vec![u % 16, u]).collect();
-        let idx = TupleIndex::build(2, &[0], tuples.iter().map(Vec::as_slice));
+        let sig = Signature::graph();
+        let e = sig.relation("E").unwrap();
+        let mut b = StructureBuilder::new(sig, 256);
+        for u in 0..256u32 {
+            b.add(e, &[u % 16, u]).unwrap();
+        }
+        let s = b.build().unwrap();
+        let rel = s.rel(e);
+        let idx = rel.index(&[0]);
         for k in 0..16u32 {
-            let key = [k];
-            let probed: Vec<&[Elem]> = idx.probe(&key).collect();
-            let scanned: Vec<&[Elem]> = tuples
-                .iter()
-                .map(Vec::as_slice)
-                .filter(|t| t[0] == k)
-                .collect();
-            assert_eq!(probed, scanned, "key [{k}]");
+            let probed: Vec<u32> = idx.probe(rel, &[k]).collect();
+            assert_eq!(probed, scan(rel, k), "key [{k}]");
         }
     }
 }

@@ -1,6 +1,6 @@
 //! Finite relational structures with sorted tuple stores.
 
-use crate::index::TupleIndex;
+use crate::index::ColumnIndex;
 use crate::{ConstId, RelId, Signature, StructureError};
 use serde::{Deserialize, Serialize};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -44,10 +44,10 @@ impl std::hash::Hash for Relation {
 
 /// The hash indexes [`Relation::index`] has built, at most one per key.
 #[derive(Default)]
-struct IndexCache(Mutex<Vec<Arc<TupleIndex>>>);
+struct IndexCache(Mutex<Vec<Arc<ColumnIndex>>>);
 
 impl IndexCache {
-    fn lock(&self) -> std::sync::MutexGuard<'_, Vec<Arc<TupleIndex>>> {
+    fn lock(&self) -> std::sync::MutexGuard<'_, Vec<Arc<ColumnIndex>>> {
         // A panic mid-build never pushes, so a poisoned cache is intact.
         self.0.lock().unwrap_or_else(PoisonError::into_inner)
     }
@@ -101,15 +101,19 @@ impl Relation {
     /// The hash index keyed by the positions in `key`, built on first
     /// use and cached with the relation: later evaluations on this
     /// relation, and on every structure sharing it (clones, and
-    /// [`Structure::extend`]), reuse it. The build runs under the
-    /// cache's lock; lookups after it only take the lock to clone the
-    /// handle.
-    pub fn index(&self, key: &[usize]) -> Arc<TupleIndex> {
+    /// [`Structure::extend`]), reuse it. It indexes this relation in
+    /// place, so its row ids are positions in lexicographic order
+    /// ([`Relation::row`]) and its probes read this relation. The
+    /// build runs under the cache's lock; lookups after it only take
+    /// the lock to clone the handle.
+    pub fn index(&self, key: &[usize]) -> Arc<ColumnIndex> {
         let mut cache = self.indexes.lock();
         if let Some(idx) = cache.iter().find(|idx| idx.key() == key) {
             return Arc::clone(idx);
         }
-        let idx = Arc::new(TupleIndex::build(self.arity, key, self.iter()));
+        let mut idx = ColumnIndex::new(key);
+        idx.extend(self);
+        let idx = Arc::new(idx);
         cache.push(Arc::clone(&idx));
         idx
     }
@@ -520,6 +524,17 @@ impl Structure {
         b.build_unchecked()
     }
 
+    /// Empties relation `r` of this structure: its rows, cached indexes
+    /// and adjacency lists are dropped here, while every other
+    /// structure sharing them keeps them.
+    pub fn clear_relation(&mut self, r: RelId) {
+        let rel = Relation::from_rows(self.sig.arity(r), Vec::new());
+        if let Some(adj) = self.adj.get_mut(r.0) {
+            *adj = build_adj(self.size, &rel);
+        }
+        self.rels[r.0] = Arc::new(rel);
+    }
+
     /// Rebuilds the adjacency indexes. Needed after deserialization
     /// (indexes are not serialized).
     pub fn reindex(&mut self) {
@@ -871,11 +886,24 @@ mod tests {
         let (warm, cold) = (graph(3, &edges), graph(3, &edges));
         let e = warm.signature().relation("E").unwrap();
         let idx = warm.rel(e).index(&[1]);
-        assert_eq!(idx.probe(&[1]).count(), 2);
+        assert_eq!(idx.probe(warm.rel(e), &[1]).count(), 2);
         assert!(Arc::ptr_eq(&idx, &warm.rel(e).index(&[1])), "built once");
         assert_eq!(warm, cold);
         assert_eq!(warm.rel(e), cold.rel(e));
         assert_eq!(hash_of(&warm), hash_of(&cold));
+    }
+
+    #[test]
+    fn clear_relation_leaves_other_sharers_intact() {
+        let s = graph(3, &[(0, 1), (1, 2)]);
+        let e = s.signature().relation("E").unwrap();
+        let mut cleared = s.clone();
+        cleared.clear_relation(e);
+        assert!(cleared.rel(e).is_empty());
+        assert!(cleared.has_adjacency(e));
+        assert!(cleared.out_neighbors(e, 0).is_empty());
+        assert_eq!(s.rel(e).len(), 2);
+        assert_eq!(s.out_neighbors(e, 0), [1]);
     }
 
     #[test]

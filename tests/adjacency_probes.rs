@@ -119,11 +119,14 @@ fn adjacency_candidates_match_prefix_and_index_probes() {
     assert_eq!(s.rel(e).len(), 9, "duplicates are stored once");
     // Column 0 bound: the prefix probe's rows; column 1 bound: the hash
     // index's bucket, which lists rows in the order they were indexed.
-    let idx = s.rel(e).index(&[1]);
+    let (rel, idx) = (s.rel(e), s.rel(e).index(&[1]));
     for u in s.domain() {
-        let out: Vec<Elem> = probe_prefix(s.rel(e), &[u]).map(|t| t[1]).collect();
+        let out: Vec<Elem> = probe_prefix(rel, &[u]).map(|t| t[1]).collect();
         let key = [u];
-        let inn: Vec<Elem> = idx.probe(&key).map(|t| t[0]).collect();
+        let inn: Vec<Elem> = idx
+            .probe(rel, &key)
+            .map(|id| rel.row(id as usize)[0])
+            .collect();
         assert_eq!(s.out_neighbors(e, u), out, "out-neighbours of {u}");
         assert_eq!(s.in_neighbors(e, u), inn, "in-neighbours of {u}");
     }
